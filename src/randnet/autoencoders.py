@@ -66,7 +66,6 @@ class AutoencoderSpec:
     reg: object = field(default_factory=RidgeConfig)
     activation: str = "sigmoid"
     corruption: CorruptionSpec = field(default_factory=CorruptionSpec)
-    weight_range: tuple = (-1.0, 1.0)
 
     def __post_init__(self):
         if self.width < 1:
@@ -132,9 +131,8 @@ def rand_ae_train(Hin, spec, rng):
         return kernel_ae_train(Hin, spec.reg.spec, spec.reg.lam)
     p = Hin.shape[1]
     rng_w = rng.spawn("weights")
-    lo, hi = spec.weight_range
-    W = rng_w.uniform(p, spec.width, lo, hi)
-    b = rng_w.uniform(1, spec.width, lo, hi)
+    W = rng_w.uniform(p, spec.width)
+    b = rng_w.uniform(1, spec.width)
     Hr = activate(spec.activation, corrupt(Hin, spec.corruption, rng.spawn("noise")) @ W + b)
     converged = True
     if isinstance(spec.reg, RidgeConfig):

@@ -80,13 +80,8 @@ class RunConfig:
     base_dir: Path = Path(".")
 
     def grid_for(self, decl):
-        overrides = {}
-        renames = {"ae_widths": "ae_widths", "clf_widths": "clf_widths",
-                   "C_values": "C_values", "sigma_values": "sigma_values",
-                   "noise_values": "noise_values", "search": "search"}
-        for key, value in decl.grid.items():
-            overrides[renames[key]] = tuple(value) if isinstance(value, list) else value
-        return GridSpec(**overrides)
+        return GridSpec(**{key: tuple(value) if isinstance(value, list) else value
+                           for key, value in decl.grid.items()})
 
 
 _TOP_KEYS = {"datasets", "methods", "seeds", "output_dir", "parallelism",

@@ -17,17 +17,8 @@ seed independently of the layer seeds.
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .autoencoders import (
-    AutoencoderSpec,
-    CorruptionSpec,
-    EncoderWeights,
-    KernelDecoder,
-    encode,
-    rand_ae_train,
-)
-from .data import ScalingStats, fit_scaling
+from .autoencoders import AutoencoderSpec, CorruptionSpec, KernelDecoder, encode, rand_ae_train
+from .data import fit_scaling
 from .numerics import RngState, ShapeError, concat_cols, derive_seed
 from .shallow import ShallowModel, elm_train, kelm_train, rvfl_train
 from .shallow import predict as shallow_predict
@@ -49,7 +40,6 @@ class DeepConfig:
     clf_lam: float = 1.0
     clf_activation: str = "sigmoid"
     clf_kernel: KernelSpec | None = None  # kelm classifier only
-    clf_weight_range: tuple = (-1.0, 1.0)
     seed: int = 0
     corrupt_all_layers: bool = True  # False: corruption on layer 1 only
 
@@ -115,13 +105,10 @@ def deep_train(X, Y, cfg):
 
 def _train_classifier(X_clf, Y, cfg):
     clf_seed = derive_seed(cfg.seed, "classifier")
-    if cfg.classifier == "rvfl":
-        return rvfl_train(X_clf, Y, cfg.clf_width, cfg.clf_lam, clf_seed,
-                          cfg.clf_activation, weight_range=cfg.clf_weight_range)
-    if cfg.classifier == "elm":
-        return elm_train(X_clf, Y, cfg.clf_width, cfg.clf_lam, clf_seed,
-                         cfg.clf_activation, weight_range=cfg.clf_weight_range)
-    return kelm_train(X_clf, Y, cfg.clf_kernel, cfg.clf_lam)
+    if cfg.classifier == "kelm":
+        return kelm_train(X_clf, Y, cfg.clf_kernel, cfg.clf_lam)
+    train = rvfl_train if cfg.classifier == "rvfl" else elm_train
+    return train(X_clf, Y, cfg.clf_width, cfg.clf_lam, clf_seed, cfg.clf_activation)
 
 
 def deep_features(model, X):

@@ -12,7 +12,6 @@ import hashlib
 import json
 import logging
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -20,10 +19,10 @@ import numpy as np
 
 from .config import ConfigError
 from .data import fit_apply_scaling, load_manifest
-from .methods import get_method, hidden_nodes, predict_method, resolve_params, train_method
+from .methods import get_method
 from .model_io import save_model
 from .ranking import rank_report, rank_rows, report_markdown, significance_marks
-from .selection import EvalResult, accuracy, auc, grid_search
+from .selection import evaluate_fixed, grid_search
 from .synthetic import interleaved_arcs, separable_blobs
 
 log = logging.getLogger("randnet")
@@ -97,34 +96,6 @@ def config_hash(cfg):
     }
     blob = json.dumps(doc, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()
-
-
-def evaluate_fixed(ds, method, params, seed):
-    """Train at fixed hyperparameters; score validation (if any) and test."""
-    params = resolve_params(method, params)
-    Xtr, Ytr, _ = ds.part("train")
-    t0 = time.perf_counter()
-    model = train_method(method, params, Xtr, Ytr, seed)
-    train_ms = (time.perf_counter() - t0) * 1000.0
-    val_acc = float("nan")
-    if "validation" in ds.partitions:
-        Xva, _, yva = ds.part("validation")
-        _, pred = predict_method(model, Xva)
-        val_acc = accuracy(yva, pred)
-    test_acc = float("nan")
-    auc_value = None
-    if "test" in ds.partitions:
-        Xte, _, yte = ds.part("test")
-        scores, pred = predict_method(model, Xte)
-        test_acc = accuracy(yte, pred)
-        if ds.n_classes == 2:
-            auc_value = auc(scores[:, 1], yte)
-    res = EvalResult(
-        dataset=ds.name, method=method.name,
-        params={k: params[k] for k in sorted(method.axes)},
-        val_accuracy=val_acc, test_accuracy=test_acc, auc=auc_value,
-        hidden_nodes=hidden_nodes(method, params), train_time_ms=train_ms)
-    return model, res
 
 
 def run_train(cfg, dataset_name, method_name, out_dir, seed=None):
@@ -317,8 +288,8 @@ def run_sweep(cfg, dataset_name, method_name, axes, out_dir):
     points = [{}]
     for axis in axes:
         points = [dict(p, **{axis: v}) for p in points for v in axis_values[axis]]
-    Xtr, Ytr, _ = ds.part("train")
-    Xte, _, yte = ds.part("test")
+    if "test" not in ds.partitions:
+        raise ConfigError(f"dataset {dataset_name!r} has no test partition to sweep")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sweep_path = out_dir / f"sweep_{dataset_name}__{method_name}.csv"
@@ -328,9 +299,8 @@ def run_sweep(cfg, dataset_name, method_name, axes, out_dir):
         for point in points:
             params = dict(mdecl.params)
             params.update({SWEEP_AXES[a]: v for a, v in point.items()})
-            model = train_method(method, params, Xtr, Ytr, cfg.seeds[0])
-            _, pred = predict_method(model, Xte)
-            acc = accuracy(yte, pred)
+            _, res = evaluate_fixed(ds, method, params, cfg.seeds[0],
+                                    score_roles=("test",))
             writer.writerow([_format_cell(point[a]) for a in axes]
-                            + [repr(acc)])
+                            + [repr(res.test_accuracy)])
     return sweep_path

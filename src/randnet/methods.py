@@ -9,7 +9,7 @@ autoencoder layers and the classifier.
 from dataclasses import dataclass
 
 from .autoencoders import AutoencoderSpec, CorruptionSpec
-from .deep import DeepConfig, deep_predict, deep_train, hidden_node_count, mlkelm_train
+from .deep import DeepConfig, DeepModel, deep_predict, deep_train, mlkelm_train
 from .shallow import elm_train, kelm_train, rvfl_train
 from .shallow import predict as shallow_predict
 from .solvers import ElasticNetConfig, KernelSpec, L1Config, RidgeConfig
@@ -142,7 +142,7 @@ def train_method(method, params, X, Y, seed):
 
 
 def predict_method(model, X):
-    if hasattr(model, "encoders"):
+    if isinstance(model, DeepModel):
         return deep_predict(model, X)
     return shallow_predict(model, X)
 
@@ -155,9 +155,3 @@ def hidden_nodes(method, params):
     if method.family == "shallow":
         return 0 if method.classifier == "kelm" else int(params["clf_width"])
     return int(params["layers"]) * int(params["ae_width"]) + int(params["clf_width"])
-
-
-def model_hidden_nodes(model):
-    if hasattr(model, "encoders"):
-        return hidden_node_count(model)
-    return model.layer.width if model.layer is not None else 0

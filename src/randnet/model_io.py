@@ -1,15 +1,18 @@
 """Versioned binary container for trained models.
 
 Layout: the 8-byte magic ``RNMODEL1``, an 8-byte little-endian length,
-a JSON header (sorted keys, no whitespace), then each array's raw bytes
-as little-endian float64 in row-major order, in header order. Nothing
-time- or platform-dependent goes into the file, so retraining with the
-same seed and config reproduces it byte for byte.
+a JSON header (sorted keys, no whitespace), then every array as raw
+little-endian float64, row-major, in field order, depth first. In the
+header each dataclass is an object tagged with ``__type__`` and each
+array is ``{"__shape__": [...]}``; the header also records the payload's
+byte count and SHA-256. Nothing time- or platform-dependent goes in, so
+the same seed and config reproduce the file byte for byte.
 """
 
+import hashlib
 import json
 import struct
-from dataclasses import asdict
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,242 +24,97 @@ from .shallow import RandomLayer, ShallowModel
 from .solvers import ElasticNetConfig, KernelSpec, L1Config, RidgeConfig
 
 MAGIC = b"RNMODEL1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+# every dataclass reachable from ShallowModel and DeepModel; load builds no other
+REGISTRY = {cls.__name__: cls for cls in (
+    ShallowModel, RandomLayer, KernelSpec, DeepModel, DeepConfig,
+    AutoencoderSpec, RidgeConfig, L1Config, ElasticNetConfig, KernelDecoder,
+    CorruptionSpec, EncoderWeights, ScalingStats,
+)}
+
+
+def _to_doc(obj, arrays):
+    if isinstance(obj, np.ndarray):
+        arrays.append(np.ascontiguousarray(obj, dtype="<f8"))
+        return {"__shape__": list(obj.shape)}
+    if isinstance(obj, list):
+        return [_to_doc(v, arrays) for v in obj]
+    if is_dataclass(obj):
+        name = type(obj).__name__
+        if REGISTRY.get(name) is not type(obj):
+            raise TypeError(f"cannot serialize {name}")
+        return {"__type__": name, **{f.name: _to_doc(getattr(obj, f.name), arrays)
+                                     for f in fields(obj)}}
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    raise TypeError(f"cannot serialize a field of type {type(obj).__name__}")
+
+
+def _from_doc(doc, take):
+    if isinstance(doc, list):
+        return [_from_doc(v, take) for v in doc]
+    if not isinstance(doc, dict):
+        return doc
+    if "__shape__" in doc:
+        return take(doc["__shape__"])
+    cls = REGISTRY.get(doc.get("__type__"))
+    if cls is None:
+        raise ValueError(f"unknown __type__ {doc.get('__type__')!r}")
+    odd = sorted(set(doc) ^ {"__type__", *(f.name for f in fields(cls))})
+    if odd:
+        raise ValueError(f"{cls.__name__} has missing or unknown fields {odd}")
+    # field order, not the header's sorted key order, is the array order
+    return cls(**{f.name: _from_doc(doc[f.name], take) for f in fields(cls)})
 
 
 def save_model(model, path):
     """Write a ShallowModel or DeepModel; see the module docstring for layout."""
-    arrays = []
-
-    def put(arr):
-        if arr is None:
-            return None
-        a = np.ascontiguousarray(arr, dtype=np.float64)
-        arrays.append(a)
-        return {"idx": len(arrays) - 1, "shape": list(a.shape)}
-
-    if isinstance(model, ShallowModel):
-        kind, payload = "shallow", _shallow_payload(model, put)
-    elif isinstance(model, DeepModel):
-        kind, payload = "deep", _deep_payload(model, put)
-    else:
+    if not isinstance(model, (ShallowModel, DeepModel)):
         raise TypeError(f"cannot serialize {type(model).__name__}")
+    arrays = []
+    doc = _to_doc(model, arrays)
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(a)
     header = {"format": "randnet-model", "version": FORMAT_VERSION,
-              "kind": kind, "payload": payload}
+              "payload_bytes": sum(a.nbytes for a in arrays),
+              "sha256": digest.hexdigest(), "model": doc}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for a in arrays:
-            fh.write(a.astype("<f8", copy=False).tobytes())
+        fh.write(MAGIC + struct.pack("<Q", len(blob)) + blob)
+        fh.writelines(a.tobytes() for a in arrays)
 
 
 def load_model(path):
-    raw = Path(path).read_bytes()
+    """Read a container written by save_model; any defect raises ValueError naming path."""
+    try:
+        return _parse(memoryview(Path(path).read_bytes()))
+    except (TypeError, ValueError, struct.error) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _parse(raw):
     if raw[:8] != MAGIC:
-        raise ValueError(f"{path}: not a model container")
+        raise ValueError("not a model container")
     (hlen,) = struct.unpack("<Q", raw[8:16])
-    header = json.loads(raw[16:16 + hlen].decode())
-    if header.get("version") != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported container version {header.get('version')}")
-    offset = 16 + hlen
-    buf = raw[offset:]
-
-    def take(ref):
-        if ref is None:
-            return None
-        shape = tuple(ref["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = ref["_start"]
-        a = np.frombuffer(buf, dtype="<f8", count=count, offset=start)
-        return a.reshape(shape).astype(np.float64)
-
-    # arrays were written in index order; recover byte offsets from shapes
-    refs = _collect_refs(header["payload"])
-    refs.sort(key=lambda r: r["idx"])
+    header = json.loads(bytes(raw[16:16 + hlen]))
+    version = header.get("version") if isinstance(header, dict) else None
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported container version {version}")
+    payload = raw[16 + hlen:]
+    if len(payload) != header.get("payload_bytes"):
+        raise ValueError(f"payload is {len(payload)} bytes, not {header.get('payload_bytes')}")
+    if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
+        raise ValueError("payload SHA-256 does not match the header")
     pos = 0
-    for r in refs:
-        r["_start"] = pos
-        pos += int(np.prod(r["shape"])) * 8
 
-    payload = header["payload"]
-    if header["kind"] == "shallow":
-        return _shallow_from_payload(payload, take)
-    return _deep_from_payload(payload, take)
-
-
-def _collect_refs(obj):
-    out = []
-    if isinstance(obj, dict):
-        if "idx" in obj and "shape" in obj and len(obj) == 2:
-            out.append(obj)
-        else:
-            for v in obj.values():
-                out.extend(_collect_refs(v))
-    elif isinstance(obj, list):
-        for v in obj:
-            out.extend(_collect_refs(v))
-    return out
-
-
-def _kernel_payload(spec):
-    return None if spec is None else asdict(spec)
-
-
-def _kernel_from_payload(doc):
-    return None if doc is None else KernelSpec(**doc)
-
-
-def _shallow_payload(m, put):
-    return {
-        "kind": m.kind,
-        "n_classes": m.n_classes,
-        "direct_links": m.direct_links,
-        "output_bias": m.output_bias,
-        "lam": m.lam,
-        "seed": m.seed,
-        "weights": put(m.weights),
-        "layer": None if m.layer is None else {
-            "W": put(m.layer.W), "b": put(m.layer.b),
-            "activation": m.layer.activation,
-        },
-        "kernel": _kernel_payload(m.kernel),
-        "train_X": put(m.train_X),
-    }
-
-
-def _shallow_from_payload(doc, take):
-    layer = None
-    if doc["layer"] is not None:
-        layer = RandomLayer(take(doc["layer"]["W"]), take(doc["layer"]["b"]),
-                            doc["layer"]["activation"])
-    return ShallowModel(
-        kind=doc["kind"],
-        n_classes=doc["n_classes"],
-        layer=layer,
-        weights=take(doc["weights"]),
-        direct_links=doc["direct_links"],
-        output_bias=doc["output_bias"],
-        kernel=_kernel_from_payload(doc["kernel"]),
-        train_X=take(doc["train_X"]),
-        lam=doc["lam"],
-        seed=doc["seed"],
-    )
-
-
-def _reg_payload(reg):
-    if isinstance(reg, RidgeConfig):
-        return {"kind": "l2", "lam": reg.lam, "mode": reg.mode}
-    if isinstance(reg, L1Config):
-        return {"kind": "l1", "lam": reg.lam, "max_iters": reg.max_iters,
-                "tol": reg.tol}
-    if isinstance(reg, ElasticNetConfig):
-        return {"kind": "elastic", "lam": reg.lam, "alpha_mix": reg.alpha_mix,
-                "rho": reg.rho, "max_iters": reg.max_iters,
-                "tol_primal": reg.tol_primal, "tol_dual": reg.tol_dual}
-    return {"kind": "kernel", "lam": reg.lam, "spec": _kernel_payload(reg.spec)}
-
-
-def _reg_from_payload(doc):
-    kind = doc["kind"]
-    if kind == "l2":
-        return RidgeConfig(lam=doc["lam"], mode=doc["mode"])
-    if kind == "l1":
-        return L1Config(lam=doc["lam"], max_iters=doc["max_iters"], tol=doc["tol"])
-    if kind == "elastic":
-        return ElasticNetConfig(lam=doc["lam"], alpha_mix=doc["alpha_mix"],
-                                rho=doc["rho"], max_iters=doc["max_iters"],
-                                tol_primal=doc["tol_primal"],
-                                tol_dual=doc["tol_dual"])
-    return KernelDecoder(_kernel_from_payload(doc["spec"]), doc["lam"])
-
-
-def _ae_spec_payload(spec):
-    return {
-        "width": spec.width,
-        "reg": _reg_payload(spec.reg),
-        "activation": spec.activation,
-        "corruption": asdict(spec.corruption),
-        "weight_range": list(spec.weight_range),
-    }
-
-
-def _ae_spec_from_payload(doc):
-    return AutoencoderSpec(
-        width=doc["width"],
-        reg=_reg_from_payload(doc["reg"]),
-        activation=doc["activation"],
-        corruption=CorruptionSpec(**doc["corruption"]),
-        weight_range=tuple(doc["weight_range"]),
-    )
-
-
-def _deep_payload(m, put):
-    cfg = m.config
-    return {
-        "config": {
-            "layers": [_ae_spec_payload(s) for s in cfg.layers],
-            "connectivity": cfg.connectivity,
-            "classifier": cfg.classifier,
-            "clf_width": cfg.clf_width,
-            "clf_lam": cfg.clf_lam,
-            "clf_activation": cfg.clf_activation,
-            "clf_kernel": _kernel_payload(cfg.clf_kernel),
-            "clf_weight_range": list(cfg.clf_weight_range),
-            "seed": cfg.seed,
-            "corrupt_all_layers": cfg.corrupt_all_layers,
-        },
-        "encoders": [
-            {
-                "variant": e.variant,
-                "activation": e.activation,
-                "decoder": put(e.decoder),
-                "train_repr": put(e.train_repr),
-                "alpha": put(e.alpha),
-                "kernel": _kernel_payload(e.kernel),
-                "converged": e.converged,
-            }
-            for e in m.encoders
-        ],
-        "scalers": [
-            {"method": s.method, "center": put(s.center), "spread": put(s.spread)}
-            for s in m.scalers
-        ],
-        "classifier": _shallow_payload(m.classifier, put),
-        "input_dim": m.input_dim,
-    }
-
-
-def _deep_from_payload(doc, take):
-    cdoc = doc["config"]
-    cfg = DeepConfig(
-        layers=[_ae_spec_from_payload(s) for s in cdoc["layers"]],
-        connectivity=cdoc["connectivity"],
-        classifier=cdoc["classifier"],
-        clf_width=cdoc["clf_width"],
-        clf_lam=cdoc["clf_lam"],
-        clf_activation=cdoc["clf_activation"],
-        clf_kernel=_kernel_from_payload(cdoc["clf_kernel"]),
-        clf_weight_range=tuple(cdoc["clf_weight_range"]),
-        seed=cdoc["seed"],
-        corrupt_all_layers=cdoc["corrupt_all_layers"],
-    )
-    encoders = [
-        EncoderWeights(
-            variant=e["variant"],
-            activation=e["activation"],
-            decoder=take(e["decoder"]),
-            train_repr=take(e["train_repr"]),
-            alpha=take(e["alpha"]),
-            kernel=_kernel_from_payload(e["kernel"]),
-            converged=e["converged"],
-        )
-        for e in doc["encoders"]
-    ]
-    scalers = [
-        ScalingStats(s["method"], take(s["center"]), take(s["spread"]))
-        for s in doc["scalers"]
-    ]
-    classifier = _shallow_from_payload(doc["classifier"], take)
-    return DeepModel(cfg, encoders, scalers, classifier, doc["input_dim"])
+    def take(shape):
+        nonlocal pos
+        a = np.ndarray(shape, dtype="<f8", buffer=payload, offset=pos)
+        pos += a.nbytes
+        return a.astype(np.float64)
+    model = _from_doc(header.get("model"), take)
+    if pos != len(payload) or not isinstance(model, (ShallowModel, DeepModel)):
+        raise ValueError("header does not describe one model and its payload")
+    return model

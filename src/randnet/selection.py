@@ -6,7 +6,7 @@ after the winning configuration is fixed.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.stats import rankdata
@@ -92,29 +92,39 @@ def auc(scores, labels):
 
 def expand_grid(grid, method, base_params=None):
     """Full cartesian grid over the axes the method uses, deterministic order."""
-    base = resolve_params(method, base_params)
-    configs = [dict(base)]
+    configs = [resolve_params(method, base_params)]
     for axis in method.axes:
         configs = [dict(c, **{axis: v}) for c in configs for v in grid.axis(axis)]
     return configs
 
 
-def _stage_configs(grid, method, base):
-    """Stagewise candidate lists: (stage-1 axes, stage-2 axes)."""
-    ae_axes = [a for a in method.axes if a in ("ae_width", "noise", "C", "sigma")]
-    clf_axes = [a for a in method.axes if a in ("clf_width", "C")]
-    if "ae_width" not in method.axes:
-        # shallow and kernel methods have one stage
-        return [(tuple(method.axes), base)], None
-    stage1_base = dict(base, clf_width=500, C=1.0)
-    return [(tuple(ae_axes), stage1_base)], tuple(clf_axes)
+def evaluate_fixed(ds, method, params, seed, fit_roles=("train",),
+                   score_roles=("validation", "test")):
+    """Train on fit_roles at fixed hyperparameters; score each present score role.
 
-
-def _product(grid, axes, base):
-    configs = [dict(base)]
-    for axis in axes:
-        configs = [dict(c, **{axis: v}) for c in configs for v in grid.axis(axis)]
-    return configs
+    Returns (model, EvalResult); an absent role scores nan, and AUC is
+    reported for the test role of a binary dataset.
+    """
+    params = resolve_params(method, params)
+    idx = np.concatenate([ds.partitions[role] for role in fit_roles])
+    t0 = time.perf_counter()
+    model = train_method(method, params, ds.X[idx], ds.Y[idx], seed)
+    train_ms = (time.perf_counter() - t0) * 1000.0
+    acc = {"validation": float("nan"), "test": float("nan")}
+    auc_value = None
+    for role in score_roles:
+        if role in ds.partitions:
+            X, _, y = ds.part(role)
+            scores, pred = predict_method(model, X)
+            acc[role] = accuracy(y, pred)
+            if role == "test" and ds.n_classes == 2:
+                auc_value = auc(scores[:, 1], y)
+    res = EvalResult(
+        dataset=ds.name, method=method.name,
+        params={k: params[k] for k in sorted(method.axes)},
+        val_accuracy=acc["validation"], test_accuracy=acc["test"], auc=auc_value,
+        hidden_nodes=hidden_nodes(method, params), train_time_ms=train_ms)
+    return model, res
 
 
 def grid_search(ds, method, grid, seeds, base_params=None,
@@ -141,45 +151,32 @@ def grid_search(ds, method, grid, seeds, base_params=None,
     def node_budget(params):
         return hidden_nodes(method, params)
 
-    if grid.search == "full":
-        candidates = expand_grid(grid, method, base)
-        best = _pick_best(candidates, validation_score, node_budget)
-    else:
-        stages, clf_axes = _stage_configs(grid, method, base)
-        axes, stage_base = stages[0]
-        best = _pick_best(_product(grid, axes, stage_base), validation_score,
+    def pick(axes, stage_base):
+        stage = replace(method, axes=axes)
+        return _pick_best(expand_grid(grid, stage, stage_base), validation_score,
                           node_budget)
-        if clf_axes is not None:
-            stage2 = _product(grid, clf_axes, best.params)
-            best = _pick_best(stage2, validation_score, node_budget)
-    chosen = best.params
+
+    if grid.search == "full" or "ae_width" not in method.axes:
+        # shallow and kernel methods have a single stage either way
+        best = pick(method.axes, base)
+    else:
+        # every axis but the classifier width with the classifier pinned,
+        # then the classifier axes from the stage-1 winner
+        best = pick(tuple(a for a in method.axes if a != "clf_width"),
+                    dict(base, clf_width=500, C=1.0))
+        best = pick(tuple(a for a in method.axes if a in ("clf_width", "C")),
+                    best.params)
 
     # selection is complete; only now may test rows be read
-    Xte, _, yte = ds.part("test")
-    if retrain_with_validation:
-        idx = np.concatenate([ds.partitions["train"], ds.partitions["validation"]])
-        X_fit, Y_fit = ds.X[idx], ds.Y[idx]
-    else:
-        X_fit, Y_fit = Xtr, Ytr
-    accs, aucs, times = [], [], []
-    binary = ds.n_classes == 2
-    for seed in seeds:
-        t0 = time.perf_counter()
-        model = train_method(method, chosen, X_fit, Y_fit, seed)
-        times.append((time.perf_counter() - t0) * 1000.0)
-        scores, pred = predict_method(model, Xte)
-        accs.append(accuracy(yte, pred))
-        if binary:
-            aucs.append(auc(scores[:, 1], yte))
-    return EvalResult(
-        dataset=ds.name,
-        method=method.name,
-        params={k: chosen[k] for k in sorted(method.axes)},
+    fit_roles = ("train", "validation") if retrain_with_validation else ("train",)
+    runs = [evaluate_fixed(ds, method, best.params, seed, fit_roles, ("test",))[1]
+            for seed in seeds]
+    return replace(
+        runs[0],
         val_accuracy=best.score,
-        test_accuracy=float(np.mean(accs)),
-        auc=float(np.mean(aucs)) if binary else None,
-        hidden_nodes=hidden_nodes(method, chosen),
-        train_time_ms=float(np.mean(times)),
+        test_accuracy=float(np.mean([r.test_accuracy for r in runs])),
+        auc=float(np.mean([r.auc for r in runs])) if ds.n_classes == 2 else None,
+        train_time_ms=float(np.mean([r.train_time_ms for r in runs])),
     )
 
 

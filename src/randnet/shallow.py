@@ -36,13 +36,11 @@ class RandomLayer:
         return self.W.shape[1]
 
 
-def make_random_layer(input_dim, width, seed, activation="sigmoid",
-                      weight_range=(-1.0, 1.0)):
-    """Draw weights then biases from one uniform stream over weight_range."""
+def make_random_layer(input_dim, width, seed, activation="sigmoid"):
+    """Draw weights then biases from one uniform stream over [-1, 1]."""
     rng = RngState(seed)
-    lo, hi = weight_range
-    W = rng.uniform(input_dim, width, lo, hi)
-    b = rng.uniform(1, width, lo, hi)
+    W = rng.uniform(input_dim, width)
+    b = rng.uniform(1, width)
     return RandomLayer(W, b, activation)
 
 
@@ -70,7 +68,7 @@ class ShallowModel:
 
 
 def rvfl_train(X, Y, width, lam, seed, activation="sigmoid", direct_links=True,
-               output_bias=False, weight_range=(-1.0, 1.0)):
+               output_bias=False):
     """Random hidden layer, then ridge on D = [H X] (plus optional bias column).
 
     lam = 0 routes through the pseudoinverse instead of ridge.
@@ -79,7 +77,7 @@ def rvfl_train(X, Y, width, lam, seed, activation="sigmoid", direct_links=True,
         raise ValueError(f"width must be >= 1, got {width}")
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
-    layer = make_random_layer(X.shape[1], width, seed, activation, weight_range)
+    layer = make_random_layer(X.shape[1], width, seed, activation)
     model = ShallowModel(
         kind="rvfl" if direct_links else "elm",
         n_classes=Y.shape[1],
@@ -94,12 +92,10 @@ def rvfl_train(X, Y, width, lam, seed, activation="sigmoid", direct_links=True,
     return model
 
 
-def elm_train(X, Y, width, lam, seed, activation="sigmoid",
-              weight_range=(-1.0, 1.0)):
+def elm_train(X, Y, width, lam, seed, activation="sigmoid"):
     """RVFL with the direct links (and output bias) ablated; shares its code path."""
     return rvfl_train(X, Y, width, lam, seed, activation,
-                      direct_links=False, output_bias=False,
-                      weight_range=weight_range)
+                      direct_links=False, output_bias=False)
 
 
 def kelm_train(X, Y, spec, lam):
