@@ -16,16 +16,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import ShapeError, activate
+from .shallow import make_random_layer
 from .solvers import (
     ElasticNetConfig,
+    KernelMap,
     KernelSpec,
     L1Config,
     RidgeConfig,
     admm_elastic_net,
     fista_lasso,
-    kernel_matrix,
-    krr_fit,
-    pinv_solve,
+    fit_kernel_map,
     ridge_solve,
 )
 
@@ -71,31 +71,15 @@ class AutoencoderSpec:
         if self.width < 1:
             raise ValueError(f"width must be >= 1, got {self.width}")
 
-    @property
-    def variant(self):
-        return {
-            RidgeConfig: "l2",
-            L1Config: "l1",
-            ElasticNetConfig: "elastic",
-            KernelDecoder: "kernel",
-        }[type(self.reg)]
-
 
 @dataclass
 class EncoderWeights:
-    variant: str  # l2 | l1 | elastic | kernel
-    activation: str = "sigmoid"
-    decoder: np.ndarray | None = None  # width x input_dim; used transposed forward
-    train_repr: np.ndarray | None = None  # kernel variant anchor rows
-    alpha: np.ndarray | None = None  # kernel variant coefficients
-    kernel: KernelSpec | None = None
-    converged: bool = True
+    """A trained layer: a decoder used transposed forward, or a kernel map."""
 
-    @property
-    def output_dim(self):
-        if self.variant == "kernel":
-            return self.alpha.shape[1]
-        return self.decoder.shape[0]
+    activation: str = "sigmoid"
+    decoder: np.ndarray | None = None  # width x input_dim
+    kernel_map: KernelMap | None = None  # kernel variant
+    converged: bool = True
 
 
 def corrupt(X, spec, rng):
@@ -129,17 +113,12 @@ def rand_ae_train(Hin, spec, rng):
     """
     if isinstance(spec.reg, KernelDecoder):
         return kernel_ae_train(Hin, spec.reg.spec, spec.reg.lam)
-    p = Hin.shape[1]
-    rng_w = rng.spawn("weights")
-    W = rng_w.uniform(p, spec.width)
-    b = rng_w.uniform(1, spec.width)
-    Hr = activate(spec.activation, corrupt(Hin, spec.corruption, rng.spawn("noise")) @ W + b)
+    layer = make_random_layer(Hin.shape[1], spec.width, rng.spawn("weights").seed,
+                              spec.activation)
+    Hr = layer.transform(corrupt(Hin, spec.corruption, rng.spawn("noise")))
     converged = True
     if isinstance(spec.reg, RidgeConfig):
-        if spec.reg.lam == 0:
-            decoder = pinv_solve(Hr, Hin)
-        else:
-            decoder = ridge_solve(Hr, Hin, spec.reg.lam, spec.reg.mode)
+        decoder = ridge_solve(Hr, Hin, spec.reg.lam)
     elif isinstance(spec.reg, L1Config):
         res = fista_lasso(Hr, Hin, spec.reg)
         decoder, converged = res.weights, res.converged
@@ -148,38 +127,18 @@ def rand_ae_train(Hin, spec, rng):
         decoder, converged = res.weights, res.converged
     else:
         raise TypeError(f"unsupported decoder regularization {type(spec.reg).__name__}")
-    return EncoderWeights(
-        variant=spec.variant,
-        activation=spec.activation,
-        decoder=decoder,
-        converged=converged,
-    )
+    return EncoderWeights(activation=spec.activation, decoder=decoder, converged=converged)
 
 
 def kernel_ae_train(Hin, spec, lam):
     """Kernel layer: reconstruct Hin from K(Hin, Hin); encoding keeps its width."""
-    if lam <= 0:
-        raise ValueError(f"lam must be > 0 for the kernel variant, got {lam}")
-    alpha = krr_fit(kernel_matrix(Hin, Hin, spec), Hin, lam)
-    # copy: the forward pass must never hit the same-object
-    # symmetrization fast path and drift from a deserialized encoder
-    return EncoderWeights(
-        variant="kernel",
-        train_repr=Hin.copy(),
-        alpha=alpha,
-        kernel=spec,
-    )
+    return EncoderWeights(kernel_map=fit_kernel_map(Hin, Hin, spec, lam))
 
 
 def encode(Hin, enc):
     """Forward pass of a trained layer on clean inputs."""
-    if enc.variant == "kernel":
-        if Hin.shape[1] != enc.train_repr.shape[1]:
-            raise ShapeError(
-                f"input has {Hin.shape[1]} features, encoder expects "
-                f"{enc.train_repr.shape[1]}"
-            )
-        return kernel_matrix(Hin, enc.train_repr, enc.kernel) @ enc.alpha
+    if enc.kernel_map is not None:
+        return enc.kernel_map.apply(Hin)
     if Hin.shape[1] != enc.decoder.shape[1]:
         raise ShapeError(
             f"input has {Hin.shape[1]} features, encoder expects {enc.decoder.shape[1]}"

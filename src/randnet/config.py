@@ -5,7 +5,7 @@ are rejected. Errors carry the offending key path and, where the YAML
 node is known, its line number.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -79,7 +79,8 @@ class RunConfig:
     retrain_with_validation: bool = False
     base_dir: Path = Path(".")
 
-    def grid_for(self, decl):
+    @staticmethod
+    def grid_for(decl):
         return GridSpec(**{key: tuple(value) if isinstance(value, list) else value
                            for key, value in decl.grid.items()})
 
@@ -87,10 +88,11 @@ class RunConfig:
 _TOP_KEYS = {"datasets", "methods", "seeds", "output_dir", "parallelism",
              "scaling", "retrain_with_validation"}
 _DATASET_KEYS = {"name", "manifest", "synthetic"}
-_SYNTH_KEYS = {"kind", "n_train", "n_val", "n_test", "noise", "gap", "seed"}
+# each kind takes only the keys its generator reads
+_SYNTH_KEYS = {"blobs": {"kind", "n_train", "n_val", "n_test", "gap", "seed"},
+               "arcs": {"kind", "n_train", "n_val", "n_test", "noise", "seed"}}
 _METHOD_KEYS = {"name", "params", "grid"}
-_GRID_KEYS = {"ae_widths", "clf_widths", "C_values", "sigma_values",
-              "noise_values", "search"}
+_GRID_KEYS = {f.name for f in fields(GridSpec)}
 
 
 def _reject_unknown(mapping, allowed, lines, path):
@@ -147,11 +149,11 @@ def load_config(path):
             sp = p + ("synthetic",)
             _require(isinstance(entry["synthetic"], dict),
                      "synthetic must be a mapping", lines, sp)
-            _reject_unknown(entry["synthetic"], _SYNTH_KEYS, lines, sp)
             kind = entry["synthetic"].get("kind")
             _require(kind in ("blobs", "arcs"),
                      f"synthetic kind must be blobs or arcs, got {kind!r}",
                      lines, sp)
+            _reject_unknown(entry["synthetic"], _SYNTH_KEYS[kind], lines, sp)
         datasets.append(DatasetDecl(name, entry.get("manifest"),
                                     entry.get("synthetic")))
 
@@ -181,7 +183,13 @@ def load_config(path):
         _require(isinstance(grid, dict), "grid must be a mapping", lines,
                  p + ("grid",))
         _reject_unknown(grid, _GRID_KEYS, lines, p + ("grid",))
-        methods.append(MethodDecl(name, params, grid))
+        decl = MethodDecl(name, params, grid)
+        try:
+            RunConfig.grid_for(decl)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid grid: {exc}", _fmt_path(p + ("grid",)),
+                              lines.get(p + ("grid",))) from exc
+        methods.append(decl)
 
     seeds = doc.get("seeds", [0, 1, 2, 3, 4])
     _require(isinstance(seeds, list) and seeds

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 from .autoencoders import AutoencoderSpec, CorruptionSpec, KernelDecoder, encode, rand_ae_train
 from .data import fit_scaling
-from .numerics import RngState, ShapeError, concat_cols, derive_seed
+from .numerics import RngState, ShapeError, check_finite, concat_cols, derive_seed
 from .shallow import ShallowModel, elm_train, kelm_train, rvfl_train
 from .shallow import predict as shallow_predict
 from .solvers import KernelSpec
@@ -118,6 +118,7 @@ def deep_features(model, X):
             f"input has {X.shape[1] if X.ndim == 2 else '?'} features, "
             f"model expects {model.input_dim}"
         )
+    check_finite("input", X)
     feats = []
     for i, (enc, scaler) in enumerate(zip(model.encoders, model.scalers)):
         inp = _layer_input(X, feats, model.config.connectivity, i)
@@ -164,7 +165,7 @@ def hidden_node_count(model):
     """Total hidden nodes: layer widths plus classifier width; kernel maps count 0."""
     total = 0
     for enc in model.encoders:
-        if enc.variant != "kernel":
+        if enc.kernel_map is None:
             total += enc.decoder.shape[0]
     if model.classifier.layer is not None:
         total += model.classifier.layer.width

@@ -21,14 +21,14 @@ from .autoencoders import AutoencoderSpec, CorruptionSpec, EncoderWeights, Kerne
 from .data import ScalingStats
 from .deep import DeepConfig, DeepModel
 from .shallow import RandomLayer, ShallowModel
-from .solvers import ElasticNetConfig, KernelSpec, L1Config, RidgeConfig
+from .solvers import ElasticNetConfig, KernelMap, KernelSpec, L1Config, RidgeConfig
 
 MAGIC = b"RNMODEL1"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 # every dataclass reachable from ShallowModel and DeepModel; load builds no other
 REGISTRY = {cls.__name__: cls for cls in (
-    ShallowModel, RandomLayer, KernelSpec, DeepModel, DeepConfig,
+    ShallowModel, RandomLayer, KernelMap, KernelSpec, DeepModel, DeepConfig,
     AutoencoderSpec, RidgeConfig, L1Config, ElasticNetConfig, KernelDecoder,
     CorruptionSpec, EncoderWeights, ScalingStats,
 )}

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngState, ShapeError, activate, concat_cols
-from .solvers import KernelSpec, kernel_matrix, krr_fit, pinv_solve, ridge_solve
+from .numerics import RngState, ShapeError, activate, check_finite, concat_cols
+from .solvers import KernelMap, fit_kernel_map, ridge_solve
 
 
 @dataclass
@@ -46,16 +46,13 @@ def make_random_layer(input_dim, width, seed, activation="sigmoid"):
 
 @dataclass
 class ShallowModel:
-    kind: str  # rvfl | elm | kelm
-    n_classes: int
+    """rvfl/elm: output weights on design(X); kelm: a kernel map from X."""
+
     layer: RandomLayer | None = None
-    weights: np.ndarray | None = None  # Beta (rvfl/elm) or Alpha (kelm)
+    weights: np.ndarray | None = None  # Beta over design(X)
     direct_links: bool = False
     output_bias: bool = False
-    kernel: KernelSpec | None = None
-    train_X: np.ndarray | None = None  # retained for the kernel variant
-    lam: float = 1.0
-    seed: int | None = None
+    kernel_map: KernelMap | None = None
 
     def design(self, X):
         """Feature map seen by the output weights (rvfl/elm only)."""
@@ -77,18 +74,9 @@ def rvfl_train(X, Y, width, lam, seed, activation="sigmoid", direct_links=True,
         raise ValueError(f"width must be >= 1, got {width}")
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
-    layer = make_random_layer(X.shape[1], width, seed, activation)
-    model = ShallowModel(
-        kind="rvfl" if direct_links else "elm",
-        n_classes=Y.shape[1],
-        layer=layer,
-        direct_links=direct_links,
-        output_bias=output_bias,
-        lam=lam,
-        seed=seed,
-    )
-    D = model.design(X)
-    model.weights = pinv_solve(D, Y) if lam == 0 else ridge_solve(D, Y, lam, "auto")
+    model = ShallowModel(make_random_layer(X.shape[1], width, seed, activation),
+                         direct_links=direct_links, output_bias=output_bias)
+    model.weights = ridge_solve(model.design(X), Y, lam)
     return model
 
 
@@ -100,29 +88,14 @@ def elm_train(X, Y, width, lam, seed, activation="sigmoid"):
 
 def kelm_train(X, Y, spec, lam):
     """Kernel variant: representer coefficients on K(X, X), inputs retained."""
-    if lam <= 0:
-        raise ValueError(f"lam must be > 0 for the kernel variant, got {lam}")
-    alpha = krr_fit(kernel_matrix(X, X, spec), Y, lam)
-    # stored as a copy so prediction can never hit the same-object
-    # symmetrization fast path and drift from a deserialized model
-    return ShallowModel(
-        kind="kelm",
-        n_classes=Y.shape[1],
-        weights=alpha,
-        kernel=spec,
-        train_X=X.copy(),
-        lam=lam,
-    )
+    return ShallowModel(kernel_map=fit_kernel_map(X, Y, spec, lam))
 
 
 def predict(model, X):
     """Class scores and argmax labels; ties go to the lowest class index."""
-    if model.kind == "kelm":
-        if X.shape[1] != model.train_X.shape[1]:
-            raise ShapeError(
-                f"input has {X.shape[1]} features, model expects {model.train_X.shape[1]}"
-            )
-        scores = kernel_matrix(X, model.train_X, model.kernel) @ model.weights
+    check_finite("input", X)
+    if model.kernel_map is not None:
+        scores = model.kernel_map.apply(X)
     else:
         scores = model.design(X) @ model.weights
     return scores, np.argmax(scores, axis=1)

@@ -17,16 +17,13 @@ from .numerics import ShapeError, check_finite
 
 @dataclass
 class RidgeConfig:
-    """l2 penalty weight and which of the two equivalent systems to invert."""
+    """l2 penalty weight; lam = 0 gives the minimum-norm least-squares fit."""
 
     lam: float = 1.0
-    mode: str = "auto"  # primal | dual | auto
 
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError(f"ridge lam must be >= 0, got {self.lam}")
-        if self.mode not in ("primal", "dual", "auto"):
-            raise ValueError(f"unknown ridge mode {self.mode!r}")
 
 
 @dataclass
@@ -48,7 +45,6 @@ class L1Config:
 class ElasticNetConfig:
     lam: float = 1.0
     alpha_mix: float = 0.5  # proportion of l1 in the penalty
-    rho: float | None = None  # ADMM penalty; defaults to lam
     max_iters: int = 5000
     tol_primal: float = 1e-10
     tol_dual: float = 1e-10
@@ -58,21 +54,17 @@ class ElasticNetConfig:
             raise ValueError(f"elastic-net lam must be > 0, got {self.lam}")
         if not 0.0 <= self.alpha_mix <= 1.0:
             raise ValueError(f"alpha_mix must be in [0, 1], got {self.alpha_mix}")
-        if self.rho is not None and self.rho <= 0:
-            raise ValueError("rho must be > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
 
 @dataclass
 class KernelSpec:
-    kind: str = "rbf"  # rbf | linear | polynomial
+    kind: str = "rbf"  # rbf | linear
     sigma: float = 1.0  # rbf bandwidth
-    degree: int = 3
-    coef0: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("rbf", "linear", "polynomial"):
+        if self.kind not in ("rbf", "linear"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "rbf" and self.sigma <= 0:
             raise ValueError(f"rbf sigma must be > 0, got {self.sigma}")
@@ -133,15 +125,14 @@ def ridge_dual(D, Y, lam):
     return D.T @ _sym_solve(G, Y)
 
 
-def ridge_solve(D, Y, lam, mode="auto"):
-    """Ridge dispatch: auto inverts whichever of the two systems is smaller."""
-    if mode == "auto":
-        mode = "dual" if D.shape[0] < D.shape[1] else "primal"
-    if mode == "primal":
-        return ridge_primal(D, Y, lam)
-    if mode == "dual":
+def ridge_solve(D, Y, lam):
+    """Closed-form readout: the pseudoinverse at lam = 0, otherwise ridge
+    on whichever of the two equivalent systems is smaller."""
+    if lam == 0:
+        return pinv_solve(D, Y)
+    if D.shape[0] < D.shape[1]:
         return ridge_dual(D, Y, lam)
-    raise ValueError(f"unknown ridge mode {mode!r}")
+    return ridge_primal(D, Y, lam)
 
 
 def pinv_solve(D, Y):
@@ -174,8 +165,6 @@ def kernel_matrix(X1, X2, spec):
         )
     if spec.kind == "linear":
         return X1 @ X2.T
-    if spec.kind == "polynomial":
-        return (X1 @ X2.T + spec.coef0) ** spec.degree
     sq = (
         np.sum(X1 * X1, axis=1)[:, None]
         + np.sum(X2 * X2, axis=1)[None, :]
@@ -191,7 +180,7 @@ def kernel_matrix(X1, X2, spec):
 def krr_fit(K, Y, lam):
     """Representer coefficients Alpha solving (K + lam I) Alpha = Y.
 
-    Prediction on new rows Z is kernel_matrix(Z, X_train, spec) @ Alpha.
+    KernelMap.apply predicts on new rows with these coefficients.
     """
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ShapeError(f"kernel matrix must be square, got {K.shape}")
@@ -204,6 +193,29 @@ def krr_fit(K, Y, lam):
         raise ValueError("kernel matrix is not symmetric within tolerance")
     G = K + lam * np.eye(K.shape[0])
     return _sym_solve(G, Y)
+
+
+@dataclass
+class KernelMap:
+    """Kernel-ridge map Z -> K(Z, anchors) @ alpha."""
+
+    spec: KernelSpec
+    anchors: np.ndarray  # training rows
+    alpha: np.ndarray  # representer coefficients, one column per target
+
+    def apply(self, Z):
+        return kernel_matrix(Z, self.anchors, self.spec) @ self.alpha
+
+
+def fit_kernel_map(X, T, spec, lam):
+    """Kernel ridge from the rows of X to the rows of T."""
+    if lam <= 0:
+        raise ValueError(f"lam must be > 0 for the kernel variant, got {lam}")
+    alpha = krr_fit(kernel_matrix(X, X, spec), T, lam)
+    # anchors are a copy, so applying the map to the training array never
+    # hits the same-object symmetrization fast path and drifts from a
+    # loaded model
+    return KernelMap(spec, X.copy(), alpha)
 
 
 def spectral_norm(H, iters=50, tol=1e-6):
@@ -310,16 +322,16 @@ def admm_elastic_net(H, T, cfg):
     T : ndarray, n x k target
     cfg : ElasticNetConfig
 
-    Consensus splitting W = Z: the W update reuses a cached Cholesky
-    factor of (2 H'H + rho I), the Z update is the elastic-net proximal
-    map, and U accumulates the scaled dual. Terminates when the primal
-    residual ||W - Z|| and dual residual rho ||Z - Z_prev|| both fall
-    under their tolerances; otherwise returns the last iterate flagged
-    unconverged.
+    Consensus splitting W = Z with the ADMM penalty rho = lam: the W
+    update reuses a cached Cholesky factor of (2 H'H + rho I), the Z
+    update is the elastic-net proximal map, and U accumulates the scaled
+    dual. Terminates when the primal residual ||W - Z|| and dual
+    residual rho ||Z - Z_prev|| both fall under their tolerances;
+    otherwise returns the last iterate flagged unconverged.
     """
     _check_regression_args(H, T, cfg.lam)
     p, k = H.shape[1], T.shape[1]
-    rho = cfg.rho if cfg.rho is not None else cfg.lam
+    rho = cfg.lam
     G = 2.0 * (H.T @ H)
     G[np.diag_indices_from(G)] += rho
     factor = scipy.linalg.cho_factor(G)

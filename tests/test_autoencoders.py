@@ -106,7 +106,7 @@ def test_l2_ae_decoder_is_exactly_ridge():
     from randnet.numerics import activate
 
     Hr = activate("sigmoid", Hin @ W + b)
-    np.testing.assert_array_equal(enc.decoder, ridge_solve(Hr, Hin, lam, "auto"))
+    np.testing.assert_array_equal(enc.decoder, ridge_solve(Hr, Hin, lam))
 
 
 def test_zero_intensity_corruption_bitwise_equals_none():
@@ -163,7 +163,7 @@ def test_ae_deterministic():
 
 def test_encode_identity_decoder():
     Hin = square_problem(19, n=10, p=4)
-    enc = EncoderWeights(variant="l2", activation="linear", decoder=np.eye(4))
+    enc = EncoderWeights(activation="linear", decoder=np.eye(4))
     np.testing.assert_array_equal(encode(Hin, enc), Hin)
 
 
@@ -203,19 +203,19 @@ def test_kernel_ae_single_row():
     Hin = np.array([[0.5, -0.5]])
     lam = 0.3
     enc = kernel_ae_train(Hin, KernelSpec("rbf", sigma=1.0), lam)
-    np.testing.assert_allclose(enc.alpha, Hin / (1.0 + lam))
+    np.testing.assert_allclose(enc.kernel_map.alpha, Hin / (1.0 + lam))
 
 
 def test_kernel_ae_output_dim_equals_input_dim():
     Hin = square_problem(25, n=20, p=6)
     enc = kernel_ae_train(Hin, KernelSpec("rbf", sigma=1.0), 0.1)
     assert encode(Hin, enc).shape == (20, 6)
-    assert enc.output_dim == 6
+    assert enc.kernel_map.alpha.shape[1] == 6
 
 
 def test_kernel_variant_via_spec():
     Hin = square_problem(26, n=20, p=4)
     spec = AutoencoderSpec(reg=KernelDecoder(KernelSpec("rbf", sigma=1.0), lam=0.2))
     enc = rand_ae_train(Hin, spec, RngState(27))
-    assert enc.variant == "kernel"
-    assert spec.variant == "kernel"
+    assert enc.kernel_map is not None
+    assert isinstance(spec.reg, KernelDecoder)

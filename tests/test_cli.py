@@ -82,6 +82,33 @@ def test_config_rejects_manifest_and_synthetic(tmp_path):
         load_config(p)
 
 
+@pytest.mark.parametrize("kind, key", [("blobs", "noise: 0.3"), ("arcs", "gap: 2.0")],
+                         ids=["blobs_noise", "arcs_gap"])
+def test_config_rejects_synthetic_key_of_other_kind(tmp_path, kind, key):
+    # the generator of this kind takes no such argument, so it would be ignored
+    p = tmp_path / "bad.yaml"
+    p.write_text(f"datasets: [{{name: a, synthetic: {{kind: {kind}, {key}}}}}]\n"
+                 "methods: [{name: rvfl}]\n")
+    with pytest.raises(ConfigError, match=f"unknown key '{key.split(':')[0]}'"):
+        load_config(p)
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("{C_values: []}", "grid axis C_values is empty"),
+    ("{search: bogus}", "unknown search policy 'bogus'"),
+], ids=["empty_C_values", "bogus_search"])
+def test_config_validates_grid_at_load(tmp_path, grid, message):
+    p = tmp_path / "bad.yaml"
+    p.write_text("datasets:\n  - {name: a, synthetic: {kind: blobs}}\n"
+                 f"methods:\n  - name: rvfl\n    grid: {grid}\n")
+    with pytest.raises(ConfigError, match=message) as err:
+        load_config(p)
+    assert "at methods[0].grid (line 5)" in str(err.value)
+    out = tmp_path / "bench"
+    assert main(["bench", "--config", str(p), "--out", str(out)]) == 2
+    assert not (out / "results.csv").exists()
+
+
 def test_config_rejects_bad_yaml(tmp_path):
     p = tmp_path / "bad.yaml"
     p.write_text("datasets: [unclosed\n")

@@ -12,7 +12,8 @@ from randnet.deep import (
     hidden_node_count,
     mlkelm_train,
 )
-from randnet.numerics import RngState, derive_seed
+from randnet.methods import METHODS, predict_method, train_method
+from randnet.numerics import NumericError, RngState, derive_seed
 from randnet.shallow import elm_train, kelm_train
 from randnet.shallow import predict as shallow_predict
 from randnet.solvers import KernelSpec, RidgeConfig
@@ -224,3 +225,16 @@ def test_direct_vs_plain_ordering_soft_property(blobs, capsys):
         warnings.warn(
             f"direct links underperformed plain by more than 1%: {means}",
             stacklevel=1)
+
+
+@pytest.mark.parametrize("method", ["rvfl", "kelm", "deep_rvfl_dense_l2"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_predict_rejects_non_finite_rows(blobs, method, bad):
+    # a NaN score row used to argmax to class 0 without a word
+    X, Y, _ = blobs
+    params = {"layers": 2, "ae_width": 10, "clf_width": 30}
+    model = train_method(METHODS[method], params, X, Y, seed=0)
+    Xbad = X[:3].copy()
+    Xbad[1, 0] = bad
+    with pytest.raises(NumericError):
+        predict_method(model, Xbad)

@@ -1,13 +1,23 @@
 import json
 import struct
+import tempfile
 from dataclasses import fields, is_dataclass
 from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randnet.autoencoders import AutoencoderSpec, CorruptionSpec, KernelDecoder
-from randnet.deep import DeepConfig, DeepModel, deep_predict, deep_train, mlkelm_train
+from randnet.deep import (
+    CONNECTIVITIES,
+    DeepConfig,
+    DeepModel,
+    deep_predict,
+    deep_train,
+    mlkelm_train,
+)
 from randnet.methods import predict_method
 from randnet.model_io import MAGIC, REGISTRY, load_model, save_model
 from randnet.shallow import ShallowModel, elm_train, kelm_train, predict, rvfl_train
@@ -40,7 +50,7 @@ def test_kelm_roundtrip(blobs, tmp_path):
     save_model(model, p)
     loaded = load_model(p)
     np.testing.assert_array_equal(predict(model, X)[0], predict(loaded, X)[0])
-    assert loaded.kernel.sigma == 1.3
+    assert loaded.kernel_map.spec.sigma == 1.3
 
 
 def test_deep_roundtrip_all_variants(blobs, tmp_path):
@@ -135,6 +145,59 @@ def test_roundtrip_every_variant(blobs, tmp_path, case):
     assert a.read_bytes() == b.read_bytes()
 
 
+DECODERS = {
+    "l2": RidgeConfig(lam=0.1),
+    "l1": L1Config(lam=0.5, max_iters=20),
+    "elastic": ElasticNetConfig(lam=0.5, max_iters=20),
+    "kernel": KernelDecoder(KernelSpec("rbf", sigma=1.0), 0.1),
+}
+CORRUPTIONS = {
+    "none": CorruptionSpec(),
+    "gaussian": CorruptionSpec("gaussian", sigma=0.2),
+    "masking": CorruptionSpec("masking", nu=0.5),
+}
+RBF = KernelSpec("rbf", sigma=1.0)
+
+
+@st.composite
+def small_models(draw):
+    """A shallow or deep model of any kind on a small blobs draw, with its inputs."""
+    ds = separable_blobs(n=draw(st.integers(6, 30)), seed=draw(st.integers(0, 999)))
+    X, Y = ds.X, ds.Y
+    classifier = draw(st.sampled_from(["rvfl", "elm", "kelm"]))
+    seed = draw(st.integers(0, 999))
+    width = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        if classifier == "kelm":
+            return kelm_train(X, Y, RBF, 0.1), X
+        return rvfl_train(X, Y, width, draw(st.sampled_from([0.0, 0.1])), seed,
+                          direct_links=classifier == "rvfl",
+                          output_bias=draw(st.booleans())), X
+    layers = [AutoencoderSpec(width=draw(st.integers(1, 8)),
+                              reg=DECODERS[draw(st.sampled_from(sorted(DECODERS)))],
+                              corruption=CORRUPTIONS[draw(st.sampled_from(sorted(CORRUPTIONS)))])
+              for _ in range(draw(st.integers(1, 3)))]
+    cfg = DeepConfig(layers=layers, connectivity=draw(st.sampled_from(CONNECTIVITIES)),
+                     classifier=classifier, clf_width=width, clf_lam=0.1,
+                     clf_kernel=RBF if classifier == "kelm" else None, seed=seed)
+    return deep_train(X, Y, cfg), X
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(small_models())
+def test_roundtrip_property(model_and_inputs):
+    model, X = model_and_inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        a, b = f"{tmp}/a.rnm", f"{tmp}/b.rnm"
+        save_model(model, a)
+        loaded = load_model(a)
+        np.testing.assert_array_equal(predict_method(model, X)[0],
+                                      predict_method(loaded, X)[0])
+        save_model(loaded, b)
+        with open(a, "rb") as fa, open(b, "rb") as fb:
+            assert fa.read() == fb.read()
+
+
 def _reachable_types(blobs):
     """Dataclass types named by field annotations or held by sample models."""
     found, todo = set(), [ShallowModel, DeepModel]
@@ -179,8 +242,8 @@ def _flip_last_byte(payload):
     return payload[:-1] + bytes([payload[-1] ^ 1])
 
 
-def _drop_lam(header):
-    del header["model"]["lam"]
+def _drop_direct_links(header):
+    del header["model"]["direct_links"]
 
 
 def _rename_type(header):
@@ -196,10 +259,11 @@ def _version_1(header):
     ({"edit_payload": lambda p: p + b"junk"}, "payload is"),
     ({"edit_payload": _flip_last_byte}, "SHA-256"),
     ({"edit_header": _rename_type}, "unknown __type__ 'Dataset'"),
-    ({"edit_header": _drop_lam}, "missing or unknown fields ['lam']"),
+    ({"edit_header": _drop_direct_links}, "missing or unknown fields ['direct_links']"),
     ({"edit_header": _version_1}, "unsupported container version 1"),
+    ({"edit_header": lambda h: h.update(version=2)}, "unsupported container version 2"),
 ], ids=["short_payload", "long_payload", "digest_mismatch", "unknown_type",
-        "missing_field", "version_1"])
+        "missing_field", "version_1", "version_2"])
 def test_defective_file_fails_loudly(blobs, tmp_path, edit, message):
     X, Y = blobs
     p = tmp_path / "m.rnm"

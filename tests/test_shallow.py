@@ -83,7 +83,7 @@ def test_kelm_linear_matches_dual_ridge(blobs):
 def test_kelm_alpha_rows_match_samples(blobs):
     X, Y, _ = blobs
     model = kelm_train(X, Y, KernelSpec("rbf", sigma=1.0), 0.1)
-    assert model.weights.shape == (X.shape[0], Y.shape[1])
+    assert model.kernel_map.alpha.shape == (X.shape[0], Y.shape[1])
 
 
 def test_kelm_single_point():

@@ -70,11 +70,17 @@ def test_ridge_dual_single_sample():
 
 def test_ridge_auto_dispatch_matches_both():
     D, Y = random_problem(3, 20, 40)  # n < p, auto picks dual
-    auto = ridge_solve(D, Y, 0.5, "auto")
+    auto = ridge_solve(D, Y, 0.5)
     np.testing.assert_array_equal(auto, ridge_dual(D, Y, 0.5))
     D2, Y2 = random_problem(4, 40, 20)
-    auto2 = ridge_solve(D2, Y2, 0.5, "auto")
+    auto2 = ridge_solve(D2, Y2, 0.5)
     np.testing.assert_array_equal(auto2, ridge_primal(D2, Y2, 0.5))
+
+
+@pytest.mark.parametrize("n, p", [(20, 40), (40, 20)])
+def test_ridge_solve_at_zero_lam_is_pinv(n, p):
+    D, Y = random_problem(6, n, p)
+    np.testing.assert_array_equal(ridge_solve(D, Y, 0), pinv_solve(D, Y))
 
 
 # ----------------------------------------------------------- pseudoinverse
