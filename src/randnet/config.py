@@ -10,7 +10,7 @@ from pathlib import Path
 
 import yaml
 
-from .methods import DEFAULT_PARAMS, METHODS
+from .methods import DEFAULT_PARAMS, METHODS, check_param
 from .selection import GridSpec
 
 
@@ -176,9 +176,14 @@ def load_config(path):
         params = entry.get("params", {})
         _require(isinstance(params, dict), "params must be a mapping", lines,
                  p + ("params",))
-        for key in params:
+        for key, value in params.items():
             _require(key in DEFAULT_PARAMS, f"unknown param {key!r}", lines,
                      p + ("params", key))
+            try:
+                check_param(key, value)
+            except ValueError as exc:
+                raise ConfigError(str(exc), _fmt_path(p + ("params", key)),
+                                  lines.get(p + ("params", key))) from exc
         grid = entry.get("grid", {})
         _require(isinstance(grid, dict), "grid must be a mapping", lines,
                  p + ("grid",))

@@ -128,7 +128,8 @@ def deep_features(model, X):
 
 def deep_predict(model, X):
     """Scores and argmax labels from the replayed pipeline."""
-    return shallow_predict(model.classifier, deep_features(model, X))
+    # deep_features checked the input; finite input gives finite features
+    return shallow_predict(model.classifier, deep_features(model, X), check_input=False)
 
 
 def mlkelm_train(X, Y, layer_specs, layer_lams, clf_kernel, clf_lam,

@@ -4,7 +4,8 @@ A bench run keeps a manifest next to its results CSV recording the
 config hash and every completed (dataset, method) cell with its row, so
 an interrupted run resumed with the same config reproduces the
 uninterrupted CSV byte for byte (wall-clock time columns aside). All
-file writes funnel through one lock.
+file writes funnel through one lock, and the manifest, the result CSVs
+and the models replace their files atomically.
 """
 
 import csv
@@ -20,7 +21,7 @@ import numpy as np
 from .config import ConfigError
 from .data import fit_apply_scaling, load_manifest
 from .methods import get_method
-from .model_io import save_model
+from .model_io import replace_atomically, save_model
 from .ranking import rank_report, rank_rows, report_markdown, significance_marks
 from .selection import evaluate_fixed, grid_search
 from .synthetic import interleaved_arcs, separable_blobs
@@ -74,7 +75,7 @@ def result_row(res):
 
 
 def write_results_csv(rows, path):
-    with open(path, "w", newline="") as fh:
+    with replace_atomically(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
         writer.writeheader()
         for row in rows:
@@ -176,9 +177,9 @@ def run_bench(cfg, out_dir, resume=False, _fail_after=None):
             row.update(dataset=ds_name, method=m_name, error=str(exc))
         with lock:
             completed[f"{ds_name}::{m_name}"] = row
-            manifest_path.write_text(json.dumps(
-                {"config_hash": digest, "cells": completed}, sort_keys=True,
-                indent=1))
+            with replace_atomically(manifest_path) as fh:
+                json.dump({"config_hash": digest, "cells": completed}, fh,
+                          sort_keys=True, indent=1)
             done_counter[0] += 1
             if _fail_after is not None and done_counter[0] >= _fail_after:
                 raise KeyboardInterrupt("injected interruption")

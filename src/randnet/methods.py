@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 from .autoencoders import AutoencoderSpec, CorruptionSpec
 from .deep import DeepConfig, DeepModel, deep_predict, deep_train, mlkelm_train
+from .numerics import ACTIVATION_NAMES
 from .shallow import elm_train, kelm_train, rvfl_train
 from .shallow import predict as shallow_predict
 from .solvers import ElasticNetConfig, KernelSpec, L1Config, RidgeConfig
@@ -26,6 +27,39 @@ DEFAULT_PARAMS = {
     "solver_iters": 500,  # FISTA/ADMM budget inside autoencoders
     "max_train_rows": 4096,  # kernel-stack guard
 }
+
+
+def _number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _count(v):
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
+_POSITIVE = (lambda v: _number(v) and v > 0, "a number > 0")
+_COUNT = (_count, "an integer >= 1")
+
+# (test, description) of the values each param accepts
+PARAM_RULES = {
+    "layers": _COUNT,
+    "ae_width": _COUNT,
+    "clf_width": _COUNT,
+    "C": _POSITIVE,
+    "sigma": _POSITIVE,
+    "noise": (lambda v: _number(v) and v >= 0, "a number >= 0"),
+    "alpha_mix": (lambda v: _number(v) and 0 <= v <= 1, "a number in [0, 1]"),
+    "activation": (lambda v: v in ACTIVATION_NAMES, f"one of {list(ACTIVATION_NAMES)}"),
+    "solver_iters": _COUNT,
+    "max_train_rows": _COUNT,
+}
+
+
+def check_param(key, value):
+    """Raise ValueError unless value is valid for the param named key."""
+    test, wanted = PARAM_RULES[key]
+    if not test(value):
+        raise ValueError(f"param {key} must be {wanted}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -122,16 +156,19 @@ def build_deep_config(method, params, seed):
     )
 
 
+def _train_shallow(method, params, lam, X, Y, seed):
+    if method.classifier == "kelm":
+        return kelm_train(X, Y, KernelSpec("rbf", sigma=params["sigma"]), lam)
+    train = rvfl_train if method.classifier == "rvfl" else elm_train
+    return train(X, Y, int(params["clf_width"]), lam, seed, params["activation"])
+
+
 def train_method(method, params, X, Y, seed):
     """Train one model of the given method at fixed hyperparameters."""
     params = resolve_params(method, params)
     lam = 1.0 / params["C"]
     if method.family == "shallow":
-        if method.classifier == "kelm":
-            return kelm_train(X, Y, KernelSpec("rbf", sigma=params["sigma"]), lam)
-        train = rvfl_train if method.classifier == "rvfl" else elm_train
-        return train(X, Y, int(params["clf_width"]), lam, seed,
-                     params["activation"])
+        return _train_shallow(method, params, lam, X, Y, seed)
     if method.family == "kernel_stack":
         spec = KernelSpec("rbf", sigma=params["sigma"])
         L = int(params["layers"])
@@ -139,6 +176,19 @@ def train_method(method, params, X, Y, seed):
                             max_train_rows=int(params["max_train_rows"]),
                             seed=seed)
     return deep_train(X, Y, build_deep_config(method, params, seed))
+
+
+def train_C_path(method, params, C_values, X, Y, seed):
+    """train_method at params with C set to each of C_values (shallow family).
+
+    Only the ridge shift depends on C, so the models share one layer
+    draw, one design and one Gram matrix (kelm: one kernel matrix); each
+    is bitwise the model train_method builds at its C.
+    """
+    if method.family != "shallow":
+        raise ValueError(f"{method.name} has no C path: C also sets its autoencoders")
+    params = resolve_params(method, params)
+    return _train_shallow(method, params, [1.0 / C for C in C_values], X, Y, seed)
 
 
 def predict_method(model, X):

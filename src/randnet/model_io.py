@@ -7,11 +7,18 @@ header each dataclass is an object tagged with ``__type__`` and each
 array is ``{"__shape__": [...]}``; the header also records the payload's
 byte count and SHA-256. Nothing time- or platform-dependent goes in, so
 the same seed and config reproduce the file byte for byte.
+
+Artifacts (models here; the bench manifest and result CSVs in the
+harness) are written through ``replace_atomically``, so a crash or a
+failed write never leaves a torn file in place of the old one.
 """
 
 import hashlib
 import json
+import os
 import struct
+import threading
+from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -32,6 +39,24 @@ REGISTRY = {cls.__name__: cls for cls in (
     AutoencoderSpec, RidgeConfig, L1Config, ElasticNetConfig, KernelDecoder,
     CorruptionSpec, EncoderWeights, ScalingStats,
 )}
+
+
+@contextmanager
+def replace_atomically(path, mode="w", **open_kwargs):
+    """Open a temporary file beside path for writing; on a clean exit it
+    replaces path in one os.replace, on an exception it is removed and
+    path keeps its old contents."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _to_doc(obj, arrays):
@@ -81,7 +106,7 @@ def save_model(model, path):
               "payload_bytes": sum(a.nbytes for a in arrays),
               "sha256": digest.hexdigest(), "model": doc}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
+    with replace_atomically(path, "wb") as fh:
         fh.write(MAGIC + struct.pack("<Q", len(blob)) + blob)
         fh.writelines(a.tobytes() for a in arrays)
 

@@ -11,7 +11,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.stats import rankdata
 
-from .methods import hidden_nodes, predict_method, resolve_params, train_method
+from .methods import (check_param, hidden_nodes, predict_method, resolve_params,
+                      train_C_path, train_method)
+from .shallow import predict_path
 
 C_EXPONENTS = (-7, -5, -3, -1, 1, 3, 5, 7)
 
@@ -36,10 +38,13 @@ class GridSpec:
     search: str = "stagewise"
 
     def __post_init__(self):
-        for name in ("ae_widths", "clf_widths", "C_values", "sigma_values",
-                     "noise_values"):
+        for param, name in (("ae_width", "ae_widths"), ("clf_width", "clf_widths"),
+                            ("C", "C_values"), ("sigma", "sigma_values"),
+                            ("noise", "noise_values")):
             if not len(getattr(self, name)):
                 raise ValueError(f"grid axis {name} is empty")
+            for value in getattr(self, name):
+                check_param(param, value)
         if self.search not in ("stagewise", "full"):
             raise ValueError(f"unknown search policy {self.search!r}")
 
@@ -143,18 +148,13 @@ def grid_search(ds, method, grid, seeds, base_params=None,
     Xtr, Ytr, _ = ds.part("train")
     Xva, _, yva = ds.part("validation")
 
-    def validation_score(params):
-        model = train_method(method, params, Xtr, Ytr, seeds[0])
-        _, pred = predict_method(model, Xva)
-        return accuracy(yva, pred)
-
     def node_budget(params):
         return hidden_nodes(method, params)
 
     def pick(axes, stage_base):
-        stage = replace(method, axes=axes)
-        return _pick_best(expand_grid(grid, stage, stage_base), validation_score,
-                          node_budget)
+        candidates = expand_grid(grid, replace(method, axes=axes), stage_base)
+        scores = _validation_scores(method, candidates, Xtr, Ytr, Xva, yva, seeds[0])
+        return _pick_best(candidates, scores, node_budget)
 
     if grid.search == "full" or "ae_width" not in method.axes:
         # shallow and kernel methods have a single stage either way
@@ -187,11 +187,36 @@ class _Candidate:
     nodes: int
 
 
-def _pick_best(candidates, score_fn, node_fn):
+def _validation_scores(method, candidates, Xtr, Ytr, Xva, yva, seed):
+    """Validation accuracy of each candidate trained on the train split.
+
+    Shallow candidates that differ only in C form one group, fitted
+    along a C path (train_C_path) and scored from one validation design;
+    the scores are bitwise those of fitting each candidate alone.
+    """
+    if method.family != "shallow":
+        return [accuracy(yva, predict_method(train_method(method, params, Xtr, Ytr, seed),
+                                             Xva)[1])
+                for params in candidates]
+    groups = {}
+    for i, params in enumerate(candidates):
+        key = tuple(sorted((k, v) for k, v in params.items() if k != "C"))
+        groups.setdefault(key, []).append(i)
+    scores = [None] * len(candidates)
+    for members in groups.values():
+        models = train_C_path(method, candidates[members[0]],
+                              [candidates[i]["C"] for i in members], Xtr, Ytr, seed)
+        for i, (_, pred) in zip(members, predict_path(models, Xva)):
+            scores[i] = accuracy(yva, pred)
+        del models  # nothing of this group stays alive while the next is built
+    return scores
+
+
+def _pick_best(candidates, scores, node_fn):
     # ties fall to fewer hidden nodes, then to earlier grid order
     best = None
-    for params in candidates:
-        cand = _Candidate(params, score_fn(params), node_fn(params))
+    for params, score in zip(candidates, scores):
+        cand = _Candidate(params, score, node_fn(params))
         if best is None or (cand.score, -cand.nodes) > (best.score, -best.nodes):
             best = cand
     return best

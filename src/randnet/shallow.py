@@ -7,12 +7,12 @@ ELM is the same network with the direct links removed. Targets are
 scores with ties broken toward the lowest class index.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .numerics import RngState, ShapeError, activate, check_finite, concat_cols
-from .solvers import KernelMap, fit_kernel_map, ridge_solve
+from .solvers import KernelMap, fit_kernel_map, kernel_matrix, ridge_solve
 
 
 @dataclass
@@ -64,20 +64,27 @@ class ShallowModel:
         return concat_cols(parts)
 
 
+def _per_lam(lam, fits, make):
+    # a sequence of lams (a path) gives one model per lam
+    return [make(fit) for fit in fits] if np.ndim(lam) else make(fits)
+
+
 def rvfl_train(X, Y, width, lam, seed, activation="sigmoid", direct_links=True,
                output_bias=False):
     """Random hidden layer, then ridge on D = [H X] (plus optional bias column).
 
-    lam = 0 routes through the pseudoinverse instead of ridge.
+    lam = 0 routes through the pseudoinverse instead of ridge. A sequence
+    of lams gives one model per lam from one layer draw, one design and
+    one Gram matrix.
     """
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
-    if lam < 0:
+    if np.any(np.less(lam, 0)):
         raise ValueError(f"lam must be >= 0, got {lam}")
-    model = ShallowModel(make_random_layer(X.shape[1], width, seed, activation),
-                         direct_links=direct_links, output_bias=output_bias)
-    model.weights = ridge_solve(model.design(X), Y, lam)
-    return model
+    base = ShallowModel(make_random_layer(X.shape[1], width, seed, activation),
+                        direct_links=direct_links, output_bias=output_bias)
+    betas = ridge_solve(base.design(X), Y, lam)
+    return _per_lam(lam, betas, lambda beta: replace(base, weights=beta))
 
 
 def elm_train(X, Y, width, lam, seed, activation="sigmoid"):
@@ -88,14 +95,30 @@ def elm_train(X, Y, width, lam, seed, activation="sigmoid"):
 
 def kelm_train(X, Y, spec, lam):
     """Kernel variant: representer coefficients on K(X, X), inputs retained."""
-    return ShallowModel(kernel_map=fit_kernel_map(X, Y, spec, lam))
+    return _per_lam(lam, fit_kernel_map(X, Y, spec, lam),
+                    lambda kernel_map: ShallowModel(kernel_map=kernel_map))
 
 
-def predict(model, X):
-    """Class scores and argmax labels; ties go to the lowest class index."""
-    check_finite("input", X)
-    if model.kernel_map is not None:
-        scores = model.kernel_map.apply(X)
+def predict(model, X, check_input=True):
+    """Class scores and argmax labels; ties go to the lowest class index.
+
+    deep_predict passes check_input=False: it has checked the raw input.
+    """
+    return predict_path([model], X, check_input)[0]
+
+
+def predict_path(models, X, check_input=True):
+    """predict for each model of one path (a train call given a sequence
+    of lams), forming their shared design(X) or K(X, anchors) once."""
+    if check_input:
+        check_finite("input", X)
+    head = models[0]
+    if head.kernel_map is None:
+        F, readouts = head.design(X), [m.weights for m in models]
     else:
-        scores = model.design(X) @ model.weights
-    return scores, np.argmax(scores, axis=1)
+        km = head.kernel_map
+        F = kernel_matrix(X, km.anchors, km.spec)
+        readouts = [m.kernel_map.alpha for m in models]
+    # one product per model: a single product with the readouts stacked
+    # could block differently in BLAS and move the last bits of the scores
+    return [(scores, np.argmax(scores, axis=1)) for scores in (F @ R for R in readouts)]

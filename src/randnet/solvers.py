@@ -5,14 +5,24 @@ ridge, FISTA for l1-penalized problems, and ADMM for the elastic net.
 All objectives use the convention ``||A W - T||^2 + penalty`` with no
 1/2 on the quadratic term; soft-threshold levels therefore carry a
 factor of 1/2 relative to the textbook lasso.
+
+The closed-form fits (``ridge_primal``, ``ridge_dual``, ``ridge_solve``,
+``krr_fit``, ``fit_kernel_map``) take ``lam`` as one value or as a
+sequence. A sequence returns a list with one fit per value, and the
+work that does not depend on lam (the Gram or kernel matrix, the
+right-hand side) is done once; each fit is bitwise the one its lam gives
+alone.
 """
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .numerics import ShapeError, check_finite
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -95,7 +105,33 @@ def _sym_solve(G, B):
     try:
         return scipy.linalg.solve(G, B, assume_a="pos")
     except np.linalg.LinAlgError:
+        log.warning("Cholesky failed on a %d x %d system; "
+                    "solving it as symmetric indefinite", *G.shape)
         return scipy.linalg.solve(G, B, assume_a="sym")
+
+
+def _lams(lam):
+    return list(lam) if np.ndim(lam) else [lam]
+
+
+def _one_or_all(lam, fits):
+    return fits if np.ndim(lam) else fits[0]
+
+
+def _shifted_solves(G, B, lams):
+    """Solve (G + lam I) X = B for each lam, reusing G.
+
+    The diagonal is set from a copy of G's own before each solve, the
+    same addition ``G[idx] += lam`` makes on a fresh G, so every solve
+    sees the matrix a one-lam fit would build.
+    """
+    idx = np.diag_indices_from(G)
+    d0 = G[idx]  # advanced indexing copies
+    solutions = []
+    for lam in lams:
+        G[idx] = d0 + lam
+        solutions.append(_sym_solve(G, B))
+    return solutions
 
 
 def _check_regression_args(D, Y, lam):
@@ -105,34 +141,35 @@ def _check_regression_args(D, Y, lam):
         raise ShapeError(f"design has {D.shape[0]} rows but target has {Y.shape[0]}")
     check_finite("design matrix", D)
     check_finite("target matrix", Y)
-    if lam <= 0:
+    if any(value <= 0 for value in _lams(lam)):
         raise ValueError(f"lam must be > 0 (use pinv_solve for lam = 0), got {lam}")
 
 
 def ridge_primal(D, Y, lam):
     """Beta = (D'D + lam I)^-1 D'Y via a symmetric positive-definite solve."""
     _check_regression_args(D, Y, lam)
-    G = D.T @ D
-    G[np.diag_indices_from(G)] += lam
-    return _sym_solve(G, D.T @ Y)
+    return _one_or_all(lam, _shifted_solves(D.T @ D, D.T @ Y, _lams(lam)))
 
 
 def ridge_dual(D, Y, lam):
     """Beta = D'(DD' + lam I)^-1 Y; same solution, n-by-n system."""
     _check_regression_args(D, Y, lam)
-    G = D @ D.T
-    G[np.diag_indices_from(G)] += lam
-    return D.T @ _sym_solve(G, Y)
+    return _one_or_all(lam, [D.T @ A for A in _shifted_solves(D @ D.T, Y, _lams(lam))])
 
 
 def ridge_solve(D, Y, lam):
     """Closed-form readout: the pseudoinverse at lam = 0, otherwise ridge
-    on whichever of the two equivalent systems is smaller."""
-    if lam == 0:
-        return pinv_solve(D, Y)
-    if D.shape[0] < D.shape[1]:
-        return ridge_dual(D, Y, lam)
-    return ridge_primal(D, Y, lam)
+    on whichever of the two equivalent systems is smaller.
+
+    Given a sequence, this is the regularization path: every positive
+    lam shares one Gram matrix.
+    """
+    lams = _lams(lam)
+    shifted = [value for value in lams if value != 0]
+    solve = ridge_dual if D.shape[0] < D.shape[1] else ridge_primal
+    betas = iter(solve(D, Y, shifted) if shifted else ())
+    return _one_or_all(lam, [pinv_solve(D, Y) if value == 0 else next(betas)
+                             for value in lams])
 
 
 def pinv_solve(D, Y):
@@ -186,13 +223,12 @@ def krr_fit(K, Y, lam):
         raise ShapeError(f"kernel matrix must be square, got {K.shape}")
     if Y.ndim != 2 or Y.shape[0] != K.shape[0]:
         raise ShapeError("target rows must match the kernel matrix")
-    if lam <= 0:
+    if any(value <= 0 for value in _lams(lam)):
         raise ValueError(f"lam must be > 0, got {lam}")
     scale = max(1.0, float(np.max(np.abs(K))))
     if float(np.max(np.abs(K - K.T))) > 1e-8 * scale:
         raise ValueError("kernel matrix is not symmetric within tolerance")
-    G = K + lam * np.eye(K.shape[0])
-    return _sym_solve(G, Y)
+    return _one_or_all(lam, _shifted_solves(K.copy(), Y, _lams(lam)))
 
 
 @dataclass
@@ -209,13 +245,14 @@ class KernelMap:
 
 def fit_kernel_map(X, T, spec, lam):
     """Kernel ridge from the rows of X to the rows of T."""
-    if lam <= 0:
+    if any(value <= 0 for value in _lams(lam)):
         raise ValueError(f"lam must be > 0 for the kernel variant, got {lam}")
-    alpha = krr_fit(kernel_matrix(X, X, spec), T, lam)
+    alphas = krr_fit(kernel_matrix(X, X, spec), T, _lams(lam))
     # anchors are a copy, so applying the map to the training array never
     # hits the same-object symmetrization fast path and drifts from a
     # loaded model
-    return KernelMap(spec, X.copy(), alpha)
+    anchors = X.copy()
+    return _one_or_all(lam, [KernelMap(spec, anchors, alpha) for alpha in alphas])
 
 
 def spectral_norm(H, iters=50, tol=1e-6):

@@ -1,11 +1,15 @@
 """Independent reference implementations used only to check the real solvers.
 
-These deliberately share no code with the package: the lasso oracle is
-plain cyclic coordinate descent, and the separability certificate is a
-perceptron run to zero errors.
+These deliberately share no code with the package's solvers: the lasso
+oracle is plain cyclic coordinate descent, the ridge oracle forms a
+fresh Gram matrix for every lam, and the separability certificate is a
+perceptron run to zero errors. The grid-search oracle is the naive loop
+the C path replaces: it trains and scores every candidate on its own
+through the package's one-model entry points.
 """
 
 import numpy as np
+import scipy.linalg
 
 
 def lasso_coordinate_descent(H, T, lam, sweeps=50000, kkt_tol=1e-9):
@@ -78,3 +82,52 @@ def auc_brute_force(scores, labels):
             elif sp == sn:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def ridge_one_lam(D, Y, lam):
+    """One ridge fit from scratch: pseudoinverse at lam = 0, otherwise a
+    fresh Gram matrix of the smaller system with lam added to its diagonal."""
+    if lam == 0:
+        return np.linalg.lstsq(D, Y, rcond=max(D.shape) * np.finfo(np.float64).eps)[0]
+    if D.shape[0] < D.shape[1]:
+        G = D @ D.T
+        G[np.diag_indices_from(G)] += lam
+        return D.T @ scipy.linalg.solve(G, Y, assume_a="pos")
+    G = D.T @ D
+    G[np.diag_indices_from(G)] += lam
+    return scipy.linalg.solve(G, D.T @ Y, assume_a="pos")
+
+
+def validation_scores_per_candidate(ds, method, candidates, seed):
+    """Validation accuracy of each candidate, trained and scored alone."""
+    from randnet.methods import predict_method, train_method
+    from randnet.selection import accuracy
+
+    Xtr, Ytr, _ = ds.part("train")
+    Xva, _, yva = ds.part("validation")
+    return [accuracy(yva, predict_method(train_method(method, params, Xtr, Ytr, seed),
+                                         Xva)[1])
+            for params in candidates]
+
+
+def grid_search_per_candidate(ds, method, grid, seeds):
+    """Full-grid search with every candidate trained and scored alone.
+
+    Returns (params, validation accuracy, mean test accuracy, mean AUC or
+    None); ties fall to fewer hidden nodes, then earlier grid order.
+    """
+    from randnet.methods import hidden_nodes
+    from randnet.selection import evaluate_fixed, expand_grid
+
+    candidates = expand_grid(grid, method)
+    scores = validation_scores_per_candidate(ds, method, candidates, seeds[0])
+    best = None
+    for params, score in zip(candidates, scores):
+        key = (score, -hidden_nodes(method, params))
+        if best is None or key > best[0]:
+            best = (key, params)
+    runs = [evaluate_fixed(ds, method, best[1], seed, score_roles=("test",))[1]
+            for seed in seeds]
+    mean_auc = float(np.mean([r.auc for r in runs])) if ds.n_classes == 2 else None
+    return (runs[0].params, best[0][0],
+            float(np.mean([r.test_accuracy for r in runs])), mean_auc)

@@ -96,7 +96,9 @@ def test_config_rejects_synthetic_key_of_other_kind(tmp_path, kind, key):
 @pytest.mark.parametrize("grid, message", [
     ("{C_values: []}", "grid axis C_values is empty"),
     ("{search: bogus}", "unknown search policy 'bogus'"),
-], ids=["empty_C_values", "bogus_search"])
+    ("{C_values: [1.0, 0]}", "param C must be a number > 0, got 0"),
+    ("{clf_widths: [0]}", "param clf_width must be an integer >= 1"),
+], ids=["empty_C_values", "bogus_search", "zero_C_value", "zero_width"])
 def test_config_validates_grid_at_load(tmp_path, grid, message):
     p = tmp_path / "bad.yaml"
     p.write_text("datasets:\n  - {name: a, synthetic: {kind: blobs}}\n"
@@ -104,6 +106,31 @@ def test_config_validates_grid_at_load(tmp_path, grid, message):
     with pytest.raises(ConfigError, match=message) as err:
         load_config(p)
     assert "at methods[0].grid (line 5)" in str(err.value)
+    out = tmp_path / "bench"
+    assert main(["bench", "--config", str(p), "--out", str(out)]) == 2
+    assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("params, message", [
+    ("{activation: bogus}", "param activation must be one of"),
+    ("{C: 0}", "param C must be a number > 0, got 0"),
+    ("{sigma: -1.0}", "param sigma must be a number > 0"),
+    ("{clf_width: 2.5}", "param clf_width must be an integer >= 1"),
+    ("{layers: 0}", "param layers must be an integer >= 1"),
+    ("{solver_iters: true}", "param solver_iters must be an integer >= 1"),
+    ("{noise: -0.1}", "param noise must be a number >= 0"),
+    ("{alpha_mix: 1.5}", r"param alpha_mix must be a number in \[0, 1\]"),
+], ids=["activation", "C", "sigma", "clf_width", "layers", "solver_iters", "noise",
+        "alpha_mix"])
+def test_config_validates_param_values_at_load(tmp_path, params, message):
+    # a bad value used to load and fail every cell of its method at run time
+    key = params[1:].split(":")[0]
+    p = tmp_path / "bad.yaml"
+    p.write_text("datasets:\n  - {name: a, synthetic: {kind: blobs}}\n"
+                 f"methods:\n  - name: rvfl\n    params: {params}\n")
+    with pytest.raises(ConfigError, match=message) as err:
+        load_config(p)
+    assert f"at methods[0].params.{key} (line 5)" in str(err.value)
     out = tmp_path / "bench"
     assert main(["bench", "--config", str(p), "--out", str(out)]) == 2
     assert not (out / "results.csv").exists()
@@ -168,6 +195,31 @@ def test_bench_resume_equals_uninterrupted(config_path, tmp_path):
     manifest = json.loads((tmp_path / "int" / "bench_manifest.json").read_text())
     assert len(manifest["cells"]) == 2
     resumed = run_bench(cfg, tmp_path / "int", resume=True)
+    assert strip_time(read_results_csv(ref)) == strip_time(read_results_csv(resumed))
+
+
+def test_torn_manifest_write_keeps_previous_manifest(config_path, tmp_path, monkeypatch):
+    cfg = load_config(config_path)
+    ref = run_bench(cfg, tmp_path / "ref")
+    out = tmp_path / "int"
+    with pytest.raises(KeyboardInterrupt):
+        run_bench(cfg, out, _fail_after=2)
+    manifest_path = out / "bench_manifest.json"
+    before = manifest_path.read_bytes()
+
+    def torn_dump(obj, fh, **kwargs):
+        text = json.dumps(obj, **kwargs)
+        fh.write(text[:len(text) // 2])
+        raise OSError("disk full")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(json, "dump", torn_dump)
+        with pytest.raises(OSError, match="disk full"):
+            run_bench(cfg, out, resume=True)
+    # the failed write left neither a torn manifest nor its temporary file
+    assert manifest_path.read_bytes() == before
+    assert [p.name for p in out.iterdir()] == ["bench_manifest.json"]
+    resumed = run_bench(cfg, out, resume=True)
     assert strip_time(read_results_csv(ref)) == strip_time(read_results_csv(resumed))
 
 

@@ -238,3 +238,27 @@ def test_predict_rejects_non_finite_rows(blobs, method, bad):
     Xbad[1, 0] = bad
     with pytest.raises(NumericError):
         predict_method(model, Xbad)
+
+
+def test_deep_predict_checks_finiteness_once(blobs, monkeypatch):
+    # the classifier features derive from the checked input; checking them
+    # again cost most of a small batch's prediction time
+    import randnet.deep
+    import randnet.shallow
+    from randnet.numerics import check_finite
+
+    X, Y, _ = blobs
+    model = train_method(METHODS["deep_rvfl_dense_l2"],
+                         {"layers": 2, "ae_width": 10, "clf_width": 30}, X, Y, seed=0)
+    checked = []
+
+    def counting(name, m):
+        checked.append(m.shape)
+        check_finite(name, m)
+
+    monkeypatch.setattr(randnet.deep, "check_finite", counting)
+    monkeypatch.setattr(randnet.shallow, "check_finite", counting)
+    predict_method(model, X[:5])
+    assert checked == [(5, X.shape[1])]
+    shallow_predict(model.classifier, np.zeros((5, model.classifier.layer.W.shape[0])))
+    assert len(checked) == 2  # direct callers of shallow.predict are still checked

@@ -273,3 +273,17 @@ def test_defective_file_fails_loudly(blobs, tmp_path, edit, message):
         load_model(p)
     assert str(p) in str(err.value)
     assert message in str(err.value)
+
+
+def test_replace_atomically_keeps_old_file_on_failure(tmp_path):
+    from randnet.model_io import replace_atomically
+
+    path = tmp_path / "artifact.txt"
+    with replace_atomically(path) as fh:
+        fh.write("old")
+    with pytest.raises(RuntimeError, match="mid-write"):
+        with replace_atomically(path) as fh:
+            fh.write("new, half")
+            raise RuntimeError("mid-write")
+    assert path.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.txt"]

@@ -1,11 +1,23 @@
 import numpy as np
 import pytest
 
-from randnet.methods import METHODS, get_method, resolve_params, train_method
+from randnet.methods import (
+    METHODS,
+    get_method,
+    predict_method,
+    resolve_params,
+    train_C_path,
+    train_method,
+)
 from randnet.selection import GridSpec, accuracy, auc, expand_grid, grid_search
+from randnet.shallow import predict_path
 from randnet.synthetic import interleaved_arcs, separable_blobs
 
-from oracles import auc_brute_force
+from oracles import (
+    auc_brute_force,
+    grid_search_per_candidate,
+    validation_scores_per_candidate,
+)
 
 
 def small_grid(**overrides):
@@ -185,3 +197,74 @@ def test_every_method_trains_on_tiny_data():
         scores, pred = predict_method(model, X)
         assert scores.shape == (60, 2)
         assert pred.shape == (60,)
+
+
+def test_grid_spec_rejects_non_positive_values():
+    with pytest.raises(ValueError, match="param C must be a number > 0, got 0"):
+        GridSpec(C_values=(1.0, 0))
+    with pytest.raises(ValueError, match="param sigma must be a number > 0"):
+        GridSpec(sigma_values=(-1.0,))
+    with pytest.raises(ValueError, match="param clf_width must be an integer >= 1"):
+        GridSpec(clf_widths=(0,))
+    with pytest.raises(ValueError, match="param ae_width must be an integer >= 1"):
+        GridSpec(ae_widths=(10.5,))
+    with pytest.raises(ValueError, match="param noise must be a number >= 0"):
+        GridSpec(noise_values=(-0.1,))
+
+
+# --------------------------------------------------------------- C path
+
+# widths 60 / 150 / 300 against 150 training rows give the primal, the
+# square and the dual system; C = 1e7 is the badly conditioned end
+PATH_GRID = GridSpec(clf_widths=(60, 150, 300), sigma_values=(0.3, 1.0, 3.0),
+                     C_values=(1e-3, 1.0, 1e3, 1e7), search="full")
+
+
+@pytest.fixture(scope="module", params=["blobs", "arcs"])
+def path_ds(request):
+    if request.param == "blobs":
+        return separable_blobs(n=150, n_val=60, n_test=60, gap=1.0, seed=8)
+    return interleaved_arcs(n_train=150, n_val=60, n_test=60, noise=0.15, seed=9)
+
+
+@pytest.mark.parametrize("name", ["rvfl", "elm", "kelm"])
+def test_C_path_scores_equal_per_candidate_bitwise(path_ds, name):
+    method = get_method(name)
+    Xtr, Ytr, _ = path_ds.part("train")
+    Xva = path_ds.part("validation")[0]
+    axis = method.axes[0]
+    for value in PATH_GRID.axis(axis):
+        params = {axis: value}
+        models = train_C_path(method, params, PATH_GRID.C_values, Xtr, Ytr, 3)
+        for C, (scores, labels) in zip(PATH_GRID.C_values, predict_path(models, Xva)):
+            alone = train_method(method, dict(params, C=C), Xtr, Ytr, 3)
+            ref_scores, ref_labels = predict_method(alone, Xva)
+            assert scores.tobytes() == ref_scores.tobytes(), (value, C)
+            assert labels.tolist() == ref_labels.tolist()
+
+
+@pytest.mark.parametrize("name", ["rvfl", "elm", "kelm"])
+def test_grid_search_equals_per_candidate_loop(path_ds, name):
+    method = get_method(name)
+    res = grid_search(path_ds, method, PATH_GRID, seeds=[0, 1])
+    assert (res.params, res.val_accuracy, res.test_accuracy, res.auc) == \
+        grid_search_per_candidate(path_ds, method, PATH_GRID, seeds=[0, 1])
+
+
+@pytest.mark.parametrize("name", ["rvfl", "elm", "kelm"])
+def test_grouped_validation_scores_equal_per_candidate(path_ds, name):
+    # the candidates of every (width or sigma) group, scored along its C path
+    from randnet.selection import _validation_scores
+
+    method = get_method(name)
+    candidates = expand_grid(PATH_GRID, method)
+    Xtr, Ytr, _ = path_ds.part("train")
+    Xva, _, yva = path_ds.part("validation")
+    assert _validation_scores(method, candidates, Xtr, Ytr, Xva, yva, 3) == \
+        validation_scores_per_candidate(path_ds, method, candidates, 3)
+
+
+def test_C_path_is_shallow_only():
+    with pytest.raises(ValueError, match="no C path"):
+        train_C_path(get_method("helm_l2"), {}, [1.0], np.zeros((4, 2)),
+                     np.zeros((4, 2)), 0)

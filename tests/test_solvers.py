@@ -1,5 +1,10 @@
+import logging
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randnet.numerics import NumericError, RngState, ShapeError
 from randnet.solvers import (
@@ -19,7 +24,7 @@ from randnet.solvers import (
     spectral_norm,
 )
 
-from oracles import lasso_coordinate_descent, lasso_objective_value
+from oracles import lasso_coordinate_descent, lasso_objective_value, ridge_one_lam
 
 
 def random_problem(seed, n, p, k=3):
@@ -291,3 +296,72 @@ def test_config_validation():
         KernelSpec("rbf", sigma=0.0)
     with pytest.raises(ValueError):
         KernelSpec("quadratic")
+
+
+# ------------------------------------------------------ regularization path
+
+PATH_LAMS = (1e3, 0.0, 1e-7, 1.0, 0.0, 1e-3)
+
+
+@pytest.mark.parametrize("n,p", [(6, 10), (10, 6), (8, 8)])
+def test_ridge_path_is_bitwise_per_lam(n, p):
+    # one Gram matrix for the whole path; each fit must carry exactly the
+    # bits of a fit from scratch at its lam, lam = 0 (pseudoinverse) too
+    D, Y = random_problem(7, n, p)
+    path = ridge_solve(D, Y, list(PATH_LAMS))
+    assert len(path) == len(PATH_LAMS)
+    for lam, beta in zip(PATH_LAMS, path):
+        assert beta.tobytes() == ridge_solve(D, Y, lam).tobytes()
+        assert beta.tobytes() == ridge_one_lam(D, Y, lam).tobytes()
+
+
+@pytest.mark.parametrize("solve", [ridge_primal, ridge_dual])
+def test_ridge_systems_take_a_lam_sequence(solve):
+    D, Y = random_problem(8, 7, 9)
+    lams = [1e-7, 10.0, 1e-7]
+    for lam, beta in zip(lams, solve(D, Y, lams)):
+        assert beta.tobytes() == solve(D, Y, lam).tobytes()
+    with pytest.raises(ValueError, match="lam must be > 0"):
+        solve(D, Y, [1.0, 0.0])
+
+
+def test_krr_path_is_bitwise_per_lam():
+    rng = RngState(9)
+    X, Y = rng.uniform(12, 3), rng.uniform(12, 2)
+    K = kernel_matrix(X, X, KernelSpec("rbf", sigma=0.5))
+    lams = [1e-7, 1.0, 1e3]
+    for lam, alpha in zip(lams, krr_fit(K, Y, lams)):
+        fresh = scipy.linalg.solve(K + lam * np.eye(12), Y, assume_a="pos")
+        assert alpha.tobytes() == fresh.tobytes()
+        assert alpha.tobytes() == krr_fit(K, Y, lam).tobytes()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 12), p=st.integers(1, 12), k=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1),
+       lams=st.lists(st.floats(1e-2, 1e2), min_size=1, max_size=4))
+def test_ridge_primal_dual_path_agree(n, p, k, seed, lams):
+    # primal and dual are the same solution through different systems;
+    # with N(0, 1) designs of at most 12 x 12 and lam in [1e-2, 1e2] the
+    # shifted Gram matrix has a condition number below ~1e4, so the two
+    # must agree to 1e-9 of the largest weight; the path must equal the
+    # system ridge_solve picks bit for bit
+    D, Y = random_problem(seed, n, p, k)
+    for lam, beta in zip(lams, ridge_solve(D, Y, lams)):
+        bp, bd = ridge_primal(D, Y, lam), ridge_dual(D, Y, lam)
+        assert beta.tobytes() == (bd if n < p else bp).tobytes()
+        np.testing.assert_allclose(bd, bp, rtol=0,
+                                   atol=1e-9 * max(1.0, float(np.max(np.abs(bp)))))
+
+
+def test_cholesky_fallback_is_logged(caplog):
+    K = np.array([[0.0, 2.0], [2.0, 0.0]])  # symmetric, indefinite once shifted
+    Y = np.array([[1.0], [0.0]])
+    with caplog.at_level(logging.WARNING, logger="randnet.solvers"):
+        krr_fit(np.eye(2), Y, 0.5)
+        assert not caplog.records
+        alpha = krr_fit(K, Y, 0.5)
+    np.testing.assert_allclose((K + 0.5 * np.eye(2)) @ alpha, Y, atol=1e-12)
+    (record,) = caplog.records
+    assert record.levelno == logging.WARNING
+    assert "Cholesky failed on a 2 x 2 system" in record.getMessage()
