@@ -77,8 +77,14 @@ def _classifier_input(X, feats, mode):
     return concat_cols([X] + feats)
 
 
-def deep_train(X, Y, cfg):
-    """Train the layer stack and the readout classifier on (X, Y)."""
+def deep_train(X, Y, cfg, clf_widths=None):
+    """Train the layer stack and the readout classifier on (X, Y).
+
+    A sequence of clf_widths gives one model per width from one trained
+    stack and one classifier input: the stack and the classifier seed do
+    not depend on the width, so each model is bitwise the one trained at
+    its width alone. The models share their encoder and scaler lists.
+    """
     if X.shape[0] == 0:
         raise ValueError("training set is empty")
     d = X.shape[1]
@@ -99,8 +105,14 @@ def deep_train(X, Y, cfg):
         encoders.append(enc)
         scalers.append(scaler)
     X_clf = _classifier_input(X, feats, cfg.connectivity)
-    clf = _train_classifier(X_clf, Y, cfg)
-    return DeepModel(cfg, encoders, scalers, clf, d)
+
+    def with_classifier(width):
+        c = replace(cfg, clf_width=width)
+        return DeepModel(c, encoders, scalers, _train_classifier(X_clf, Y, c), d)
+
+    if clf_widths is None:
+        return with_classifier(cfg.clf_width)
+    return [with_classifier(width) for width in clf_widths]
 
 
 def _train_classifier(X_clf, Y, cfg):
@@ -128,8 +140,15 @@ def deep_features(model, X):
 
 def deep_predict(model, X):
     """Scores and argmax labels from the replayed pipeline."""
+    return deep_predict_path([model], X)[0]
+
+
+def deep_predict_path(models, X):
+    """deep_predict for each model of one deep_train call given a sequence
+    of widths, replaying their shared stack on X once."""
+    F = deep_features(models[0], X)
     # deep_features checked the input; finite input gives finite features
-    return shallow_predict(model.classifier, deep_features(model, X), check_input=False)
+    return [shallow_predict(m.classifier, F, check_input=False) for m in models]
 
 
 def mlkelm_train(X, Y, layer_specs, layer_lams, clf_kernel, clf_lam,

@@ -4,8 +4,9 @@ A bench run keeps a manifest next to its results CSV recording the
 config hash and every completed (dataset, method) cell with its row, so
 an interrupted run resumed with the same config reproduces the
 uninterrupted CSV byte for byte (wall-clock time columns aside). All
-file writes funnel through one lock, and the manifest, the result CSVs
-and the models replace their files atomically.
+file writes funnel through one lock, and every file written here (the
+manifest, the result, stats and sweep files, the models) replaces its
+old version atomically.
 """
 
 import csv
@@ -243,7 +244,7 @@ def run_stats(results_path, out_dir, alpha=0.05):
     out_dir.mkdir(parents=True, exist_ok=True)
 
     ranks_path = out_dir / "ranks.csv"
-    with open(ranks_path, "w", newline="") as fh:
+    with replace_atomically(ranks_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "mean_rank"])
         for i in np.argsort(table.mean_ranks):
@@ -251,14 +252,15 @@ def run_stats(results_path, out_dir, alpha=0.05):
 
     sig_path = out_dir / "significance.csv"
     marks = significance_marks(report["significance"])
-    with open(sig_path, "w", newline="") as fh:
+    with replace_atomically(sig_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([""] + methods)
         for i, name in enumerate(methods):
             writer.writerow([name] + list(marks[i]))
 
     md_path = out_dir / "report.md"
-    md_path.write_text(report_markdown(table, report))
+    with replace_atomically(md_path) as fh:
+        fh.write(report_markdown(table, report))
     return {"ranks": ranks_path, "significance": sig_path, "report": md_path,
             "stats": report, "table": table}
 
@@ -294,7 +296,7 @@ def run_sweep(cfg, dataset_name, method_name, axes, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sweep_path = out_dir / f"sweep_{dataset_name}__{method_name}.csv"
-    with open(sweep_path, "w", newline="") as fh:
+    with replace_atomically(sweep_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(axes) + ["accuracy"])
         for point in points:

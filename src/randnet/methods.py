@@ -9,10 +9,12 @@ autoencoder layers and the classifier.
 from dataclasses import dataclass
 
 from .autoencoders import AutoencoderSpec, CorruptionSpec
-from .deep import DeepConfig, DeepModel, deep_predict, deep_train, mlkelm_train
+from .deep import (DeepConfig, DeepModel, deep_predict, deep_predict_path, deep_train,
+                   mlkelm_train)
 from .numerics import ACTIVATION_NAMES
 from .shallow import elm_train, kelm_train, rvfl_train
 from .shallow import predict as shallow_predict
+from .shallow import predict_path as shallow_predict_path
 from .solvers import ElasticNetConfig, KernelSpec, L1Config, RidgeConfig
 
 DEFAULT_PARAMS = {
@@ -178,17 +180,45 @@ def train_method(method, params, X, Y, seed):
     return deep_train(X, Y, build_deep_config(method, params, seed))
 
 
-def train_C_path(method, params, C_values, X, Y, seed):
-    """train_method at params with C set to each of C_values (shallow family).
+# The param along which the candidates of one group share their work:
+# for shallow nets only the ridge shift depends on C; a deep stack does
+# not depend on its classifier's width. A kernel stack shares nothing.
+GROUP_AXIS = {"shallow": "C", "deep": "clf_width"}
 
-    Only the ridge shift depends on C, so the models share one layer
-    draw, one design and one Gram matrix (kelm: one kernel matrix); each
-    is bitwise the model train_method builds at its C.
+
+def group_key(method, params):
+    """Candidates with equal keys differ only along the method's group axis."""
+    axis = GROUP_AXIS.get(method.family)
+    return tuple(sorted((k, v) for k, v in params.items() if k != axis))
+
+
+def train_group(method, group, X, Y, seed):
+    """train_method at each params of group, which share one group_key.
+
+    Shallow groups are fitted along a C path (one layer draw, one design,
+    one Gram or kernel matrix); deep groups read one trained stack and
+    one classifier input. Each model is bitwise the one train_method
+    builds at its params.
     """
-    if method.family != "shallow":
-        raise ValueError(f"{method.name} has no C path: C also sets its autoencoders")
-    params = resolve_params(method, params)
-    return _train_shallow(method, params, [1.0 / C for C in C_values], X, Y, seed)
+    group = [resolve_params(method, params) for params in group]
+    if len({group_key(method, params) for params in group}) != 1:
+        raise ValueError(f"{method.name} candidates of one group differ off "
+                         f"its group axis {GROUP_AXIS.get(method.family)}")
+    params = group[0]
+    if method.family == "shallow":
+        return _train_shallow(method, params, [1.0 / p["C"] for p in group], X, Y, seed)
+    if method.family == "deep":
+        return deep_train(X, Y, build_deep_config(method, params, seed),
+                          [int(p["clf_width"]) for p in group])
+    return [train_method(method, p, X, Y, seed) for p in group]
+
+
+def predict_group(models, X):
+    """predict_method for each model of one train_group call, doing the
+    shared work (validation design, kernel matrix or stack features) once."""
+    if isinstance(models[0], DeepModel):
+        return deep_predict_path(models, X)
+    return shallow_predict_path(models, X)
 
 
 def predict_method(model, X):

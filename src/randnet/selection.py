@@ -11,9 +11,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.stats import rankdata
 
-from .methods import (check_param, hidden_nodes, predict_method, resolve_params,
-                      train_C_path, train_method)
-from .shallow import predict_path
+from .methods import (check_param, group_key, hidden_nodes, predict_group, predict_method,
+                      resolve_params, train_group, train_method)
 
 C_EXPONENTS = (-7, -5, -3, -1, 1, 3, 5, 7)
 
@@ -190,23 +189,18 @@ class _Candidate:
 def _validation_scores(method, candidates, Xtr, Ytr, Xva, yva, seed):
     """Validation accuracy of each candidate trained on the train split.
 
-    Shallow candidates that differ only in C form one group, fitted
-    along a C path (train_C_path) and scored from one validation design;
-    the scores are bitwise those of fitting each candidate alone.
+    Candidates with one group_key are fitted together (train_group: a C
+    path for shallow methods, one autoencoder stack for every classifier
+    width of a deep method) and scored together (predict_group); the
+    scores are bitwise those of fitting each candidate alone.
     """
-    if method.family != "shallow":
-        return [accuracy(yva, predict_method(train_method(method, params, Xtr, Ytr, seed),
-                                             Xva)[1])
-                for params in candidates]
     groups = {}
     for i, params in enumerate(candidates):
-        key = tuple(sorted((k, v) for k, v in params.items() if k != "C"))
-        groups.setdefault(key, []).append(i)
+        groups.setdefault(group_key(method, params), []).append(i)
     scores = [None] * len(candidates)
     for members in groups.values():
-        models = train_C_path(method, candidates[members[0]],
-                              [candidates[i]["C"] for i in members], Xtr, Ytr, seed)
-        for i, (_, pred) in zip(members, predict_path(models, Xva)):
+        models = train_group(method, [candidates[i] for i in members], Xtr, Ytr, seed)
+        for i, (_, pred) in zip(members, predict_group(models, Xva)):
             scores[i] = accuracy(yva, pred)
         del models  # nothing of this group stays alive while the next is built
     return scores

@@ -4,8 +4,9 @@ These deliberately share no code with the package's solvers: the lasso
 oracle is plain cyclic coordinate descent, the ridge oracle forms a
 fresh Gram matrix for every lam, and the separability certificate is a
 perceptron run to zero errors. The grid-search oracle is the naive loop
-the C path replaces: it trains and scores every candidate on its own
-through the package's one-model entry points.
+the grouped fits (C paths, shared autoencoder stacks) replace: it trains
+and scores every candidate on its own through the package's one-model
+entry points.
 """
 
 import numpy as np
@@ -110,24 +111,41 @@ def validation_scores_per_candidate(ds, method, candidates, seed):
             for params in candidates]
 
 
-def grid_search_per_candidate(ds, method, grid, seeds):
-    """Full-grid search with every candidate trained and scored alone.
+def grid_search_per_candidate(ds, method, grid, seeds, base_params=None,
+                              retrain_with_validation=False):
+    """Grid search with every candidate trained and scored alone.
 
-    Returns (params, validation accuracy, mean test accuracy, mean AUC or
-    None); ties fall to fewer hidden nodes, then earlier grid order.
+    A stagewise search of a deep method first picks every axis but the
+    classifier width at clf_width = 500 and C = 1, then the classifier
+    width and C from that winner. Returns (params, validation accuracy,
+    mean test accuracy, mean AUC or None); ties fall to fewer hidden
+    nodes, then earlier grid order.
     """
+    from dataclasses import replace
+
     from randnet.methods import hidden_nodes
     from randnet.selection import evaluate_fixed, expand_grid
 
-    candidates = expand_grid(grid, method)
-    scores = validation_scores_per_candidate(ds, method, candidates, seeds[0])
-    best = None
-    for params, score in zip(candidates, scores):
-        key = (score, -hidden_nodes(method, params))
-        if best is None or key > best[0]:
-            best = (key, params)
-    runs = [evaluate_fixed(ds, method, best[1], seed, score_roles=("test",))[1]
+    def pick(axes, base):
+        candidates = expand_grid(grid, replace(method, axes=axes), base)
+        scores = validation_scores_per_candidate(ds, method, candidates, seeds[0])
+        best = None
+        for params, score in zip(candidates, scores):
+            key = (score, -hidden_nodes(method, params))
+            if best is None or key > best[0]:
+                best = (key, params)
+        return best[0][0], best[1]
+
+    if grid.search == "full" or "ae_width" not in method.axes:
+        score, params = pick(method.axes, base_params)
+    else:
+        _, params = pick(tuple(a for a in method.axes if a != "clf_width"),
+                         dict(base_params or {}, clf_width=500, C=1.0))
+        score, params = pick(tuple(a for a in method.axes if a in ("clf_width", "C")),
+                             params)
+    fit_roles = ("train", "validation") if retrain_with_validation else ("train",)
+    runs = [evaluate_fixed(ds, method, params, seed, fit_roles, ("test",))[1]
             for seed in seeds]
     mean_auc = float(np.mean([r.auc for r in runs])) if ds.n_classes == 2 else None
-    return (runs[0].params, best[0][0],
+    return (runs[0].params, score,
             float(np.mean([r.test_accuracy for r in runs])), mean_auc)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,9 +311,8 @@ L1_TABLE = [
 ]
 
 
-def test_stats_on_published_accuracy_table(tmp_path):
-    # the published accuracy matrix reproduces its published mean ranks
-    # and test statistics through the full stats command path
+def write_published_results(path):
+    """L1_TABLE as a results CSV, accuracies as fractions."""
     from randnet.harness import RESULT_COLUMNS, write_results_csv
 
     methods = ("helm_l1", "deep_rvfl_direct_l1", "deep_rvfl_dense_l1",
@@ -324,8 +324,14 @@ def test_stats_on_published_accuracy_table(tmp_path):
             row.update(dataset=f"d{i:02d}", method=m,
                        test_accuracy=repr(acc / 100.0))
             rows.append(row)
-    results = tmp_path / "results.csv"
-    write_results_csv(rows, results)
+    write_results_csv(rows, path)
+    return path
+
+
+def test_stats_on_published_accuracy_table(tmp_path):
+    # the published accuracy matrix reproduces its published mean ranks
+    # and test statistics through the full stats command path
+    results = write_published_results(tmp_path / "results.csv")
     out = run_stats(results, tmp_path / "stats")
     table = out["table"]
     np.testing.assert_allclose(table.mean_ranks, [3.9, 2.75, 1.8, 1.55],
@@ -345,6 +351,55 @@ def test_stats_consistent_with_ranking_ops(config_path, tmp_path):
     table = rank_rows(matrix)
     assert out["stats"]["chi2"] == pytest.approx(
         friedman_chi2(table.mean_ranks, *matrix.shape))
+
+
+class TornFile:
+    """A file whose first write lands half of its data and then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise OSError("disk full")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+
+@pytest.mark.parametrize("target", ["ranks.csv", "significance.csv", "report.md",
+                                    "sweep_blobs__rvfl.csv"])
+def test_torn_stats_or_sweep_write_keeps_previous_file(config_path, tmp_path,
+                                                       monkeypatch, target):
+    import randnet.model_io
+
+    cfg = load_config(config_path)
+    results = write_published_results(tmp_path / "results.csv")
+    out = tmp_path / "out"
+
+    def write_all():
+        run_stats(results, out)
+        run_sweep(cfg, "blobs", "rvfl", ("C",), out)
+
+    write_all()
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def torn_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        return TornFile(fh) if target in Path(path).name else fh
+
+    with monkeypatch.context() as patch:
+        patch.setattr(randnet.model_io, "open", torn_open, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            write_all()
+    # the failed write left neither a torn file nor its temporary file
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 # ------------------------------------------------------------------- sweep

@@ -1,16 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randnet.methods import (
     METHODS,
     get_method,
+    predict_group,
     predict_method,
     resolve_params,
-    train_C_path,
+    train_group,
     train_method,
 )
 from randnet.selection import GridSpec, accuracy, auc, expand_grid, grid_search
-from randnet.shallow import predict_path
 from randnet.synthetic import interleaved_arcs, separable_blobs
 
 from oracles import (
@@ -96,6 +100,22 @@ def test_auc_affine_invariance():
     assert a == pytest.approx(b)
 
 
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(st.tuples(st.integers(-5, 5), st.integers(0, 1)), min_size=2,
+                     max_size=40).filter(lambda rows: len({y for _, y in rows}) == 2),
+       slope=st.floats(1e-3, 1e3), shift=st.floats(-1e3, 1e3),
+       gaps=st.lists(st.floats(1e-3, 1e3), min_size=11, max_size=11))
+def test_auc_invariant_under_increasing_transforms(rows, slope, shift, gaps):
+    # integer scores in a small range tie often; a strictly increasing map
+    # keeps every tie and every order, so the AUC must not move by a bit
+    scores = np.array([s for s, _ in rows], dtype=np.float64)
+    labels = np.array([y for _, y in rows])
+    steps = np.cumsum(gaps)  # any strictly increasing map of -5..5
+    ref = auc(scores, labels)
+    for mapped in (np.exp(scores), slope * scores + shift, steps[scores.astype(int) + 5]):
+        assert auc(mapped, labels) == ref
+
+
 def test_auc_single_class_rejected():
     with pytest.raises(ValueError):
         auc([0.1, 0.2], [1, 1])
@@ -142,8 +162,6 @@ def test_grid_search_reports_auc_for_binary(blobs_split):
 def test_grid_search_never_reads_test_before_selection(blobs_split):
     # canary: trash every test row; selection must be unaffected, and
     # only the final test accuracy may move
-    from dataclasses import replace
-
     g = small_grid(clf_widths=(50, 100), C_values=(0.1, 10.0))
     method = get_method("rvfl")
     clean = grid_search(blobs_split, method, g, seeds=[0])
@@ -235,8 +253,9 @@ def test_C_path_scores_equal_per_candidate_bitwise(path_ds, name):
     axis = method.axes[0]
     for value in PATH_GRID.axis(axis):
         params = {axis: value}
-        models = train_C_path(method, params, PATH_GRID.C_values, Xtr, Ytr, 3)
-        for C, (scores, labels) in zip(PATH_GRID.C_values, predict_path(models, Xva)):
+        models = train_group(method, [dict(params, C=C) for C in PATH_GRID.C_values],
+                             Xtr, Ytr, 3)
+        for C, (scores, labels) in zip(PATH_GRID.C_values, predict_group(models, Xva)):
             alone = train_method(method, dict(params, C=C), Xtr, Ytr, 3)
             ref_scores, ref_labels = predict_method(alone, Xva)
             assert scores.tobytes() == ref_scores.tobytes(), (value, C)
@@ -251,9 +270,10 @@ def test_grid_search_equals_per_candidate_loop(path_ds, name):
         grid_search_per_candidate(path_ds, method, PATH_GRID, seeds=[0, 1])
 
 
-@pytest.mark.parametrize("name", ["rvfl", "elm", "kelm"])
+@pytest.mark.parametrize("name", ["rvfl", "elm", "kelm", "ml_kelm"])
 def test_grouped_validation_scores_equal_per_candidate(path_ds, name):
-    # the candidates of every (width or sigma) group, scored along its C path
+    # the candidates of every (width or sigma) group, scored along its C
+    # path; a kernel-stack candidate is a group of its own
     from randnet.selection import _validation_scores
 
     method = get_method(name)
@@ -264,7 +284,73 @@ def test_grouped_validation_scores_equal_per_candidate(path_ds, name):
         validation_scores_per_candidate(path_ds, method, candidates, 3)
 
 
-def test_C_path_is_shallow_only():
-    with pytest.raises(ValueError, match="no C path"):
-        train_C_path(get_method("helm_l2"), {}, [1.0], np.zeros((4, 2)),
-                     np.zeros((4, 2)), 0)
+def test_group_fit_rejects_candidates_off_the_group_axis():
+    X, Y = np.zeros((4, 2)), np.zeros((4, 2))
+    with pytest.raises(ValueError, match="differ off its group axis C"):
+        train_group(get_method("rvfl"), [{"clf_width": 50}, {"clf_width": 100}], X, Y, 0)
+    with pytest.raises(ValueError, match="differ off its group axis clf_width"):
+        train_group(get_method("helm_l2"), [{"C": 1.0}, {"C": 2.0}], X, Y, 0)
+    with pytest.raises(ValueError, match="differ off its group axis None"):
+        train_group(get_method("ml_kelm"), [{"sigma": 1.0}, {"sigma": 2.0}], X, Y, 0)
+
+
+# ------------------------------------------------- shared deep stacks
+
+# classifier widths 30 and 120 against 80 training rows give the primal
+# and the dual system; every (ae_width, C, noise) group trains one stack
+DEEP_BASE = {"layers": 2, "solver_iters": 30}
+DEEP_METHODS = ["helm_l1", "deep_rvfl_direct_l2", "deep_rvfl_dense_elastic",
+                "deep_rvfl_dense_denoise_l1"]
+
+
+def deep_grid(search="full"):
+    return GridSpec(ae_widths=(6, 12), clf_widths=(30, 120), C_values=(0.1, 100.0),
+                    noise_values=(0.1, 0.4), search=search)
+
+
+@pytest.fixture(scope="module")
+def deep_ds():
+    return interleaved_arcs(n_train=80, n_val=60, n_test=40, noise=0.3, seed=11)
+
+
+@pytest.mark.parametrize("name", DEEP_METHODS)
+def test_deep_group_scores_equal_per_candidate_bitwise(deep_ds, name):
+    method = get_method(name)
+    Xtr, Ytr, _ = deep_ds.part("train")
+    Xva = deep_ds.part("validation")[0]
+    grid = deep_grid()
+    for params in expand_grid(grid, replace(method, axes=("ae_width", "C", "noise")),
+                              DEEP_BASE):
+        group = [dict(params, clf_width=w) for w in grid.clf_widths]
+        models = train_group(method, group, Xtr, Ytr, 3)
+        for member, model, (scores, labels) in zip(group, models,
+                                                   predict_group(models, Xva)):
+            alone = train_method(method, member, Xtr, Ytr, 3)
+            ref_scores, ref_labels = predict_method(alone, Xva)
+            assert scores.tobytes() == ref_scores.tobytes(), member
+            assert labels.tolist() == ref_labels.tolist()
+            assert model.config == alone.config
+
+
+@pytest.mark.parametrize("name", DEEP_METHODS)
+def test_deep_grouped_validation_scores_equal_per_candidate(deep_ds, name):
+    from randnet.selection import _validation_scores
+
+    method = get_method(name)
+    candidates = expand_grid(deep_grid(), method, DEEP_BASE)
+    Xtr, Ytr, _ = deep_ds.part("train")
+    Xva, _, yva = deep_ds.part("validation")
+    assert _validation_scores(method, candidates, Xtr, Ytr, Xva, yva, 3) == \
+        validation_scores_per_candidate(deep_ds, method, candidates, 3)
+
+
+@pytest.mark.parametrize("retrain", [False, True], ids=["train", "train+val"])
+@pytest.mark.parametrize("search", ["full", "stagewise"])
+@pytest.mark.parametrize("name", DEEP_METHODS)
+def test_deep_grid_search_equals_per_candidate_loop(deep_ds, name, search, retrain):
+    method = get_method(name)
+    grid = deep_grid(search)
+    res = grid_search(deep_ds, method, grid, seeds=[0, 1], base_params=DEEP_BASE,
+                      retrain_with_validation=retrain)
+    assert (res.params, res.val_accuracy, res.test_accuracy, res.auc) == \
+        grid_search_per_candidate(deep_ds, method, grid, [0, 1], DEEP_BASE, retrain)
