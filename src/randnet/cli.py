@@ -65,6 +65,9 @@ def main(argv=None):
         elif args.command == "bench":
             cfg = load_config(args.config)
             if args.parallel is not None:
+                if args.parallel < 1:
+                    raise ConfigError(
+                        f"--parallel must be at least 1, got {args.parallel}")
                 cfg.parallelism = args.parallel
             results = run_bench(cfg, args.out, resume=args.resume)
             print(f"results: {results}")

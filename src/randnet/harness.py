@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import logging
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -23,6 +24,7 @@ from .config import ConfigError
 from .data import fit_apply_scaling, load_manifest
 from .methods import get_method
 from .model_io import replace_atomically, save_model
+from .numerics import blas_threads
 from .ranking import rank_report, rank_rows, report_markdown, significance_marks
 from .selection import evaluate_fixed, grid_search
 from .synthetic import interleaved_arcs, separable_blobs
@@ -137,7 +139,8 @@ def run_bench(cfg, out_dir, resume=False, _fail_after=None):
 
     Failed cells are recorded with their error string and the run
     continues. With parallelism > 1 the independent cells run
-    concurrently; the output order is canonical either way.
+    concurrently, each with BLAS at cpu_count // parallelism threads
+    (restored afterwards); the output order is canonical either way.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -188,8 +191,11 @@ def run_bench(cfg, out_dir, resume=False, _fail_after=None):
 
     pending = [c for c in cells if f"{c[0]}::{c[1]}" not in completed]
     if cfg.parallelism > 1 and pending:
-        with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            list(pool.map(run_cell, pending))
+        # each cell gets its share of the cores for BLAS; the pin encloses
+        # the pool, so the old counts return only after every worker joined
+        with blas_threads(max(1, (os.cpu_count() or 1) // cfg.parallelism)):
+            with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
+                list(pool.map(run_cell, pending))
     else:
         for cell in pending:
             run_cell(cell)

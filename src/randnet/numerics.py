@@ -1,15 +1,22 @@
-"""Deterministic randomness, activations, and dense-matrix helpers.
+"""Deterministic randomness, activations, dense-matrix helpers, BLAS threads.
 
 Everything downstream (random layers, autoencoders, stacked nets) draws
 its randomness through :class:`RngState`, a seeded PCG64 stream with
 hash-based splitting, so a whole pipeline is a pure function of its
-master seed.
+master seed. :func:`blas_threads` sets the thread count of every loaded
+OpenBLAS for the length of a ``with`` block.
 """
 
+import ctypes
 import hashlib
+import logging
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
+
+log = logging.getLogger(__name__)
 
 
 class ShapeError(ValueError):
@@ -119,3 +126,62 @@ def concat_cols(parts):
     if len(parts) == 1:
         return parts[0]
     return np.hstack(parts)
+
+
+# (getter, setter) per OpenBLAS build: numpy's 64-bit-integer scipy-openblas,
+# scipy's 32-bit one, then a plain system OpenBLAS
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def blas_libraries():
+    """(file name, getter, setter) of every loaded OpenBLAS with a thread-count pair."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh})
+    except OSError:
+        return []
+    libs = []
+    for path in paths:
+        if "openblas" not in Path(path).name or ".so" not in path:
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # unmapped since, or not loadable by path
+            continue
+        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                getter, setter = getattr(lib, get_name), getattr(lib, set_name)
+                getter.argtypes, getter.restype = (), ctypes.c_int
+                setter.argtypes, setter.restype = (ctypes.c_int,), None
+                libs.append((Path(path).name, getter, setter))
+                break
+    return libs
+
+
+def blas_thread_counts():
+    """Thread count each loaded OpenBLAS will use, by library file name."""
+    return {name: getter() for name, getter, _ in blas_libraries()}
+
+
+@contextmanager
+def blas_threads(n):
+    """Run the body with every loaded OpenBLAS at ``n`` threads, then restore.
+
+    Each library gets back the count it had on entry, also when the body
+    raises. With no OpenBLAS found this logs one line and changes nothing.
+    """
+    libs = blas_libraries()
+    if not libs:
+        log.info("no OpenBLAS thread control found; BLAS threads left as they are")
+    saved = [(setter, getter()) for _, getter, setter in libs]
+    try:
+        for setter, _ in saved:
+            setter(n)
+        yield
+    finally:
+        for setter, count in saved:
+            setter(count)

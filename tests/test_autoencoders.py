@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from randnet.autoencoders import (
     AutoencoderSpec,
@@ -30,6 +32,22 @@ def test_corrupt_gaussian_zero_sigma_identity():
     X = RngState(0).gaussian(5, 4)
     out = corrupt(X, CorruptionSpec("gaussian", sigma=0.0), RngState(1))
     assert out is X
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 20), p=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["gaussian", "masking"]),
+       nu_share=st.floats(0.0, 1.0, exclude_max=True))
+def test_zero_intensity_corruption_is_identity_and_draws_nothing(n, p, seed, kind,
+                                                                 nu_share):
+    # masking at nu below half an entry per row masks round(nu * p) == 0
+    spec = (CorruptionSpec("gaussian", sigma=0.0) if kind == "gaussian"
+            else CorruptionSpec("masking", nu=nu_share * 0.5 / p))
+    assume(round(spec.nu * p) == 0)
+    X = RngState(seed).uniform(n, p)
+    rng, twin = RngState(seed + 1), RngState(seed + 1)
+    assert corrupt(X, spec, rng) is X
+    assert rng.uniform(1, 4).tobytes() == twin.uniform(1, 4).tobytes()
 
 
 def test_corrupt_full_masking_zeroes_everything():

@@ -1,9 +1,13 @@
 import json
+import logging
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import randnet.harness
+import randnet.numerics
 from randnet.cli import main
 from randnet.config import ConfigError, load_config
 from randnet.harness import (
@@ -15,6 +19,7 @@ from randnet.harness import (
     run_sweep,
     run_train,
 )
+from randnet.numerics import blas_thread_counts, blas_threads
 
 CONFIG = """\
 output_dir: out
@@ -239,6 +244,101 @@ def test_bench_parallel_matches_sequential(config_path, tmp_path):
     cfg.parallelism = 4
     par = run_bench(cfg, tmp_path / "par")
     assert strip_time(read_results_csv(seq)) == strip_time(read_results_csv(par))
+
+
+DENSE_DEEP = """\
+seeds: [0]
+scaling: minmax
+parallelism: 2
+datasets:
+  - name: arcs
+    synthetic: {kind: arcs, n_train: 200, n_val: 100, n_test: 100, noise: 0.15, seed: 7}
+methods:
+"""
+# large enough that the serial run's Gram and FISTA products use
+# several BLAS threads
+DENSE_DEEP_GRID = ("    params: {layers: 2, ae_width: 20, clf_width: 100, C: 1.0, "
+                   "solver_iters: 20}\n"
+                   "    grid: {ae_widths: [10, 30], clf_widths: [100, 200], "
+                   "C_values: [1.0, 100.0], noise_values: [0.1, 0.3]}\n")
+
+
+def test_bench_parallel_pinned_matches_serial_dense_deep(tmp_path):
+    # FISTA, ADMM and the Cholesky solves run under the BLAS pin
+    p = tmp_path / "deep.yaml"
+    p.write_text(DENSE_DEEP + "".join(
+        f"  - name: {name}\n" + DENSE_DEEP_GRID
+        for name in ("deep_rvfl_dense_l1", "deep_rvfl_dense_elastic",
+                     "deep_rvfl_dense_denoise_l2")))
+    cfg = load_config(p)
+    par = run_bench(cfg, tmp_path / "par")
+    cfg.parallelism = 1
+    seq = run_bench(cfg, tmp_path / "seq")
+    rows = strip_time(read_results_csv(seq))
+    assert not any(r["error"] for r in rows)
+    assert strip_time(read_results_csv(par)) == rows
+
+
+def test_bench_pins_blas_threads_in_cells_and_restores(config_path, tmp_path,
+                                                       monkeypatch):
+    inside = []
+    grid_search = randnet.harness.grid_search
+
+    def recording(*args, **kwargs):
+        inside.append(blas_thread_counts())
+        return grid_search(*args, **kwargs)
+
+    monkeypatch.setattr(randnet.harness, "grid_search", recording)
+    cfg = load_config(config_path)
+    cfg.parallelism = 2
+    # start from a count the pin never sets, so a missed restore shows
+    with blas_threads(3):
+        before = blas_thread_counts()
+        assert before and set(before.values()) == {3}
+        run_bench(cfg, tmp_path / "ok")
+        assert blas_thread_counts() == before
+        with pytest.raises(KeyboardInterrupt):
+            run_bench(cfg, tmp_path / "int", _fail_after=2)
+        assert blas_thread_counts() == before
+    pinned = max(1, os.cpu_count() // 2)
+    assert len(inside) >= 6
+    assert all(counts == dict.fromkeys(before, pinned) for counts in inside)
+
+
+def fake_blas(calls):
+    return lambda: [("libfake_openblas.so", lambda: 2, calls.append)]
+
+
+def test_bench_serial_never_sets_blas_threads(config_path, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(randnet.numerics, "blas_libraries", fake_blas(calls))
+    cfg = load_config(config_path)
+    run_bench(cfg, tmp_path / "seq")
+    assert calls == []
+    cfg.parallelism = 2
+    run_bench(cfg, tmp_path / "par")
+    assert calls == [max(1, os.cpu_count() // 2), 2]
+
+
+def test_bench_without_known_blas_logs_once(config_path, tmp_path, monkeypatch,
+                                            caplog):
+    monkeypatch.setattr(randnet.numerics, "blas_libraries", lambda: [])
+    cfg = load_config(config_path)
+    cfg.parallelism = 2
+    with caplog.at_level(logging.INFO, logger="randnet.numerics"):
+        results = run_bench(cfg, tmp_path / "bench")
+    (record,) = [r for r in caplog.records if r.name == "randnet.numerics"]
+    assert "no OpenBLAS" in record.getMessage()
+    assert not any(r["error"] for r in read_results_csv(results))
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_cli_bench_rejects_parallel_below_one(config_path, tmp_path, value, capsys):
+    rc = main(["bench", "--config", str(config_path), "--out", str(tmp_path / "b"),
+               "--parallel", value])
+    assert rc == 2
+    assert "--parallel" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
 
 
 def test_bench_records_failed_cells_and_continues(config_path, tmp_path):
