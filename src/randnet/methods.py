@@ -6,6 +6,7 @@ The regularization weight lam is always 1/C, one shared C across
 autoencoder layers and the classifier.
 """
 
+import math
 from dataclasses import dataclass
 
 from .autoencoders import AutoencoderSpec, CorruptionSpec
@@ -58,8 +59,14 @@ PARAM_RULES = {
 
 
 def check_param(key, value):
-    """Raise ValueError unless value is valid for the param named key."""
+    """Raise ValueError unless value is valid for the param named key.
+
+    Every number must be finite: C = inf would make lam = 1/C = 0 and
+    quietly turn a ridge readout into the pseudoinverse.
+    """
     test, wanted = PARAM_RULES[key]
+    if _number(value) and not math.isfinite(value):
+        raise ValueError(f"param {key} must be finite, got {value!r}")
     if not test(value):
         raise ValueError(f"param {key} must be {wanted}, got {value!r}")
 

@@ -12,13 +12,24 @@ sequence. A sequence returns a list with one fit per value, and the
 work that does not depend on lam (the Gram or kernel matrix, the
 right-hand side) is done once; each fit is bitwise the one its lam gives
 alone.
+
+Every shifted system is solved by LAPACK ``posv`` (Cholesky factor and
+solve, upper triangle; Anderson et al., LAPACK Users' Guide, 1999), the
+same ``potrf`` + ``potrs`` that ``scipy.linalg.solve(assume_a="pos")``
+runs, so the bits are the same. The matrix and right-hand side are
+checked for finiteness once per path, not once per lam. A reciprocal
+condition number below machine epsilon emits scipy's ``LinAlgWarning``,
+and a failed Cholesky logs a warning and solves the system as symmetric
+indefinite instead.
 """
 
 import logging
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .numerics import ShapeError, check_finite
 
@@ -32,8 +43,8 @@ class RidgeConfig:
     lam: float = 1.0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"ridge lam must be >= 0, got {self.lam}")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"ridge lam must be finite and >= 0, got {self.lam}")
 
 
 @dataclass
@@ -43,8 +54,8 @@ class L1Config:
     tol: float = 1e-10  # relative objective change
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError(f"l1 lam must be > 0, got {self.lam}")
+        if not 0 < self.lam < np.inf:
+            raise ValueError(f"l1 lam must be > 0 and finite, got {self.lam}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.tol <= 0:
@@ -60,8 +71,8 @@ class ElasticNetConfig:
     tol_dual: float = 1e-10
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError(f"elastic-net lam must be > 0, got {self.lam}")
+        if not 0 < self.lam < np.inf:
+            raise ValueError(f"elastic-net lam must be > 0 and finite, got {self.lam}")
         if not 0.0 <= self.alpha_mix <= 1.0:
             raise ValueError(f"alpha_mix must be in [0, 1], got {self.alpha_mix}")
         if self.max_iters < 1:
@@ -101,13 +112,23 @@ class AdmmResult:
 
 def _sym_solve(G, B):
     # G is symmetric and, with the ridge shift, positive definite; fall
-    # back to the generic symmetric path if Cholesky objects.
-    try:
-        return scipy.linalg.solve(G, B, assume_a="pos")
-    except np.linalg.LinAlgError:
+    # back to the generic symmetric path if Cholesky objects. posv hands
+    # the solution back in Fortran order; it is returned C-contiguous as
+    # scipy.linalg.solve returns it, since products with it round by layout.
+    factor, X, info = lapack.dposv(G, B)
+    if info < 0:
+        raise ValueError(f"LAPACK dposv: argument {-info} has an illegal value")
+    if info > 0:
         log.warning("Cholesky failed on a %d x %d system; "
                     "solving it as symmetric indefinite", *G.shape)
         return scipy.linalg.solve(G, B, assume_a="sym")
+    # G.T is the Fortran-order view of G, so dlange reads it uncopied;
+    # G is symmetric, so its 1-norm is the same
+    rcond, _ = lapack.dpocon(factor, lapack.dlange("1", G.T))
+    if rcond < np.finfo(np.float64).eps:
+        warnings.warn(f"An ill-conditioned matrix detected: rcond = {rcond:.6g}.",
+                      scipy.linalg.LinAlgWarning, stacklevel=2)
+    return np.ascontiguousarray(X)
 
 
 def _lams(lam):
@@ -125,13 +146,22 @@ def _shifted_solves(G, B, lams):
     same addition ``G[idx] += lam`` makes on a fresh G, so every solve
     sees the matrix a one-lam fit would build.
     """
+    check_finite("Gram matrix", G)
+    check_finite("right-hand side", B)
     idx = np.diag_indices_from(G)
     d0 = G[idx]  # advanced indexing copies
     solutions = []
     for lam in lams:
-        G[idx] = d0 + lam
+        diagonal = d0 + lam
+        check_finite("shifted Gram diagonal", diagonal)
+        G[idx] = diagonal
         solutions.append(_sym_solve(G, B))
     return solutions
+
+
+def _check_lams(lam, context=""):
+    if not all(0 < value < np.inf for value in _lams(lam)):
+        raise ValueError(f"lam must be > 0 and finite{context}, got {lam}")
 
 
 def _check_regression_args(D, Y, lam):
@@ -141,8 +171,7 @@ def _check_regression_args(D, Y, lam):
         raise ShapeError(f"design has {D.shape[0]} rows but target has {Y.shape[0]}")
     check_finite("design matrix", D)
     check_finite("target matrix", Y)
-    if any(value <= 0 for value in _lams(lam)):
-        raise ValueError(f"lam must be > 0 (use pinv_solve for lam = 0), got {lam}")
+    _check_lams(lam, " (use pinv_solve for lam = 0)")
 
 
 def ridge_primal(D, Y, lam):
@@ -223,8 +252,7 @@ def krr_fit(K, Y, lam):
         raise ShapeError(f"kernel matrix must be square, got {K.shape}")
     if Y.ndim != 2 or Y.shape[0] != K.shape[0]:
         raise ShapeError("target rows must match the kernel matrix")
-    if any(value <= 0 for value in _lams(lam)):
-        raise ValueError(f"lam must be > 0, got {lam}")
+    _check_lams(lam)
     scale = max(1.0, float(np.max(np.abs(K))))
     if float(np.max(np.abs(K - K.T))) > 1e-8 * scale:
         raise ValueError("kernel matrix is not symmetric within tolerance")
@@ -245,8 +273,7 @@ class KernelMap:
 
 def fit_kernel_map(X, T, spec, lam):
     """Kernel ridge from the rows of X to the rows of T."""
-    if any(value <= 0 for value in _lams(lam)):
-        raise ValueError(f"lam must be > 0 for the kernel variant, got {lam}")
+    _check_lams(lam, " for the kernel variant")
     alphas = krr_fit(kernel_matrix(X, X, spec), T, _lams(lam))
     # anchors are a copy, so applying the map to the training array never
     # hits the same-object symmetrization fast path and drifts from a
@@ -382,7 +409,9 @@ def admm_elastic_net(H, T, cfg):
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
-        W = scipy.linalg.cho_solve(factor, HtT2 + rho * (Z - U))
+        # the factor comes from checked inputs; a non-finite iterate
+        # propagates into Z, which is checked once after the loop
+        W = scipy.linalg.cho_solve(factor, HtT2 + rho * (Z - U), check_finite=False)
         Z_prev = Z
         Z = soft_threshold(W + U, l1 / rho) / (1.0 + l2 / rho)
         U = U + W - Z
@@ -393,5 +422,6 @@ def admm_elastic_net(H, T, cfg):
         if r <= eps_pri and s <= eps_dual:
             converged = True
             break
+    check_finite("elastic-net weights", Z)
     obj = elastic_net_objective(H, T, Z, cfg.lam, cfg.alpha_mix)
     return AdmmResult(Z, converged, iterations, obj, r, s)

@@ -85,18 +85,22 @@ def auc_brute_force(scores, labels):
     return total / (len(pos) * len(neg))
 
 
+def shifted_solve(G, B, lam):
+    """(G + lam I)^-1 B through scipy's positive-definite solve, on a
+    fresh copy of G with lam added to its diagonal."""
+    G = G.copy()
+    G[np.diag_indices_from(G)] += lam
+    return scipy.linalg.solve(G, B, assume_a="pos")
+
+
 def ridge_one_lam(D, Y, lam):
     """One ridge fit from scratch: pseudoinverse at lam = 0, otherwise a
     fresh Gram matrix of the smaller system with lam added to its diagonal."""
     if lam == 0:
         return np.linalg.lstsq(D, Y, rcond=max(D.shape) * np.finfo(np.float64).eps)[0]
     if D.shape[0] < D.shape[1]:
-        G = D @ D.T
-        G[np.diag_indices_from(G)] += lam
-        return D.T @ scipy.linalg.solve(G, Y, assume_a="pos")
-    G = D.T @ D
-    G[np.diag_indices_from(G)] += lam
-    return scipy.linalg.solve(G, D.T @ Y, assume_a="pos")
+        return D.T @ shifted_solve(D @ D.T, Y, lam)
+    return shifted_solve(D.T @ D, D.T @ Y, lam)
 
 
 def validation_scores_per_candidate(ds, method, candidates, seed):

@@ -103,8 +103,11 @@ def test_config_rejects_synthetic_key_of_other_kind(tmp_path, kind, key):
     ("{C_values: []}", "grid axis C_values is empty"),
     ("{search: bogus}", "unknown search policy 'bogus'"),
     ("{C_values: [1.0, 0]}", "param C must be a number > 0, got 0"),
+    ("{C_values: [1.0, .inf]}", "param C must be finite, got inf"),
+    ("{sigma_values: [.nan]}", "param sigma must be finite, got nan"),
     ("{clf_widths: [0]}", "param clf_width must be an integer >= 1"),
-], ids=["empty_C_values", "bogus_search", "zero_C_value", "zero_width"])
+], ids=["empty_C_values", "bogus_search", "zero_C_value", "inf_C_value", "nan_sigma_value",
+        "zero_width"])
 def test_config_validates_grid_at_load(tmp_path, grid, message):
     p = tmp_path / "bad.yaml"
     p.write_text("datasets:\n  - {name: a, synthetic: {kind: blobs}}\n"
@@ -126,8 +129,11 @@ def test_config_validates_grid_at_load(tmp_path, grid, message):
     ("{solver_iters: true}", "param solver_iters must be an integer >= 1"),
     ("{noise: -0.1}", "param noise must be a number >= 0"),
     ("{alpha_mix: 1.5}", r"param alpha_mix must be a number in \[0, 1\]"),
+    ("{C: .inf}", "param C must be finite, got inf"),
+    ("{sigma: .inf}", "param sigma must be finite, got inf"),
+    ("{noise: .inf}", "param noise must be finite, got inf"),
 ], ids=["activation", "C", "sigma", "clf_width", "layers", "solver_iters", "noise",
-        "alpha_mix"])
+        "alpha_mix", "C_inf", "sigma_inf", "noise_inf"])
 def test_config_validates_param_values_at_load(tmp_path, params, message):
     # a bad value used to load and fail every cell of its method at run time
     key = params[1:].split(":")[0]

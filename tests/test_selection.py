@@ -228,6 +228,10 @@ def test_grid_spec_rejects_non_positive_values():
         GridSpec(ae_widths=(10.5,))
     with pytest.raises(ValueError, match="param noise must be a number >= 0"):
         GridSpec(noise_values=(-0.1,))
+    with pytest.raises(ValueError, match="param C must be finite, got inf"):
+        GridSpec(C_values=(1.0, float("inf")))
+    with pytest.raises(ValueError, match="param sigma must be finite, got inf"):
+        GridSpec(sigma_values=(float("inf"),))
 
 
 # --------------------------------------------------------------- C path

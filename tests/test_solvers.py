@@ -11,9 +11,11 @@ from randnet.solvers import (
     ElasticNetConfig,
     KernelSpec,
     L1Config,
+    RidgeConfig,
     admm_elastic_net,
     elastic_net_objective,
     fista_lasso,
+    fit_kernel_map,
     kernel_matrix,
     krr_fit,
     lasso_objective,
@@ -24,7 +26,7 @@ from randnet.solvers import (
     spectral_norm,
 )
 
-from oracles import lasso_coordinate_descent, lasso_objective_value, ridge_one_lam
+from oracles import lasso_coordinate_descent, lasso_objective_value, ridge_one_lam, shifted_solve
 
 
 def random_problem(seed, n, p, k=3):
@@ -365,3 +367,76 @@ def test_cholesky_fallback_is_logged(caplog):
     (record,) = caplog.records
     assert record.levelno == logging.WARNING
     assert "Cholesky failed on a 2 x 2 system" in record.getMessage()
+
+
+# ------------------------------------------------------ the posv solve path
+
+ORACLE_LAMS = [1e-7, 1.0, 1e3]
+
+
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("n, p", [(6, 10), (10, 10), (10, 6), (40, 130), (130, 40)])
+def test_shifted_solves_are_bitwise_scipy_pos_solve(n, p, k):
+    # every closed-form fit, alone or on a path, carries exactly the bits
+    # of scipy.linalg.solve(G + lam I, B, assume_a="pos"), and comes back
+    # C-contiguous as that call returns it
+    D, Y = random_problem(31, n, p, k)
+    K = kernel_matrix(D, D, KernelSpec("rbf", sigma=3.0))
+    cases = [
+        (lambda lam: ridge_primal(D, Y, lam), lambda lam: shifted_solve(D.T @ D, D.T @ Y, lam)),
+        (lambda lam: ridge_dual(D, Y, lam), lambda lam: D.T @ shifted_solve(D @ D.T, Y, lam)),
+        (lambda lam: krr_fit(K, Y, lam), lambda lam: shifted_solve(K, Y, lam)),
+    ]
+    for fit, oracle in cases:
+        for lam, from_path in zip(ORACLE_LAMS, fit(ORACLE_LAMS)):
+            expected = oracle(lam)
+            for beta in (fit(lam), from_path):
+                assert beta.flags["C_CONTIGUOUS"]
+                assert beta.tobytes() == expected.tobytes()
+
+
+def test_ill_conditioned_solve_warns():
+    with pytest.warns(scipy.linalg.LinAlgWarning, match="ill-conditioned"):
+        krr_fit(np.diag([1.0, 1e-18]), np.ones((2, 1)), 1e-18)
+
+
+def test_gram_overflow_is_rejected():
+    # the design is finite, its Gram matrix is not
+    D, Y = random_problem(32, 8, 5)
+    D[0, 0] = 1e200
+    for solve in (ridge_primal, ridge_dual):
+        with pytest.raises(ValueError, match="NaN or Inf"), np.errstate(over="ignore"):
+            solve(D, Y, 1.0)
+    # NaN off the diagonal passes the symmetry check and the shifted
+    # diagonal, so only the scan of the whole matrix sees it
+    K = np.eye(3)
+    K[0, 1] = K[1, 0] = np.nan
+    with pytest.raises(ValueError, match="Gram matrix contains NaN or Inf"):
+        krr_fit(K, np.ones((3, 1)), 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_nonfinite_lam_is_rejected(bad):
+    D, Y = random_problem(33, 8, 5)
+    for config in (RidgeConfig, L1Config, ElasticNetConfig):
+        with pytest.raises(ValueError, match="lam must be"):
+            config(lam=bad)
+    for fit in (ridge_primal, ridge_dual, ridge_solve,
+                lambda D, Y, lam: krr_fit(D @ D.T, Y, lam),
+                lambda D, Y, lam: fit_kernel_map(D, Y, KernelSpec(), lam)):
+        for lam in (bad, [1.0, bad]):
+            with pytest.raises(ValueError, match="lam must be > 0 and finite"):
+                fit(D, Y, lam)
+    # a config whose lam went bad after it was built
+    for solver, config in ((fista_lasso, L1Config()), (admm_elastic_net, ElasticNetConfig())):
+        config.lam = bad
+        with pytest.raises(ValueError, match="lam must be > 0 and finite"):
+            solver(D, Y, config)
+
+
+def test_admm_rejects_a_nonfinite_result():
+    # H'T overflows while the factor of 2 H'H + rho I stays finite
+    H, T = np.array([[1e150]]), np.array([[1e200]])
+    with (pytest.raises(ValueError, match="elastic-net weights contains NaN or Inf"),
+          np.errstate(all="ignore")):
+        admm_elastic_net(H, T, ElasticNetConfig(lam=1.0, max_iters=5))
