@@ -32,17 +32,14 @@ from .solvers import (
 
 @dataclass
 class CorruptionSpec:
-    kind: str = "none"  # none | gaussian | masking
+    kind: str = "none"  # none | gaussian
     sigma: float = 0.0  # gaussian noise std
-    nu: float = 0.0  # fraction of entries masked per row
 
     def __post_init__(self):
-        if self.kind not in ("none", "gaussian", "masking"):
+        if self.kind not in ("none", "gaussian"):
             raise ValueError(f"unknown corruption kind {self.kind!r}")
         if self.sigma < 0:
             raise ValueError(f"gaussian sigma must be >= 0, got {self.sigma}")
-        if not 0.0 <= self.nu <= 1.0:
-            raise ValueError(f"masking nu must be in [0, 1], got {self.nu}")
 
 
 @dataclass
@@ -83,25 +80,13 @@ class EncoderWeights:
 
 
 def corrupt(X, spec, rng):
-    """Apply the corruption process; zero intensity is exactly the identity.
+    """Add i.i.d. Gaussian noise of std spec.sigma to X.
 
-    Gaussian adds i.i.d. noise with the given std; masking zeroes
-    round(nu * p) entries per row, chosen uniformly without replacement.
+    Kind "none" and sigma = 0 return X itself and draw nothing from rng.
     """
-    if spec.kind == "none":
+    if spec.kind == "none" or spec.sigma == 0.0:
         return X
-    if spec.kind == "gaussian":
-        if spec.sigma == 0.0:
-            return X
-        return X + rng.gaussian(X.shape[0], X.shape[1], 0.0, spec.sigma)
-    count = round(spec.nu * X.shape[1])
-    if count == 0:
-        return X
-    out = X.copy()
-    orders = rng.column_orders(X.shape[0], X.shape[1])
-    rows = np.arange(X.shape[0])[:, None]
-    out[rows, orders[:, :count]] = 0.0
-    return out
+    return X + rng.gaussian(X.shape[0], X.shape[1], 0.0, spec.sigma)
 
 
 def rand_ae_train(Hin, spec, rng):

@@ -238,13 +238,11 @@ def load_manifest(path):
         raise DataFormatError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: manifest must be a mapping")
-    known = {"name", "csv", "partitions", "disjoint"}
-    unknown = set(doc) - known
-    if unknown:
-        raise DataFormatError(f"{path}: unknown manifest keys {sorted(unknown)}")
+    _reject_unknown(path, "manifest keys", doc, ("name", "csv", "partitions", "disjoint"))
     csv_spec = doc.get("csv")
     if not isinstance(csv_spec, dict) or "path" not in csv_spec:
         raise DataFormatError(f"{path}: manifest needs csv.path")
+    _reject_unknown(path, "csv keys", csv_spec, ("path", "label_col", "header", "delimiter"))
     base = path.parent
     ds = load_csv(
         base / csv_spec["path"],
@@ -256,5 +254,12 @@ def load_manifest(path):
     parts = doc.get("partitions")
     if not isinstance(parts, dict):
         raise DataFormatError(f"{path}: manifest needs a partitions mapping")
+    _reject_unknown(path, "partition roles", parts, PARTITION_ROLES)
     files = {role: base / p for role, p in parts.items()}
     return load_partition_indices(ds, files, disjoint=doc.get("disjoint", True))
+
+
+def _reject_unknown(path, what, mapping, allowed):
+    unknown = sorted(map(str, set(mapping) - set(allowed)))
+    if unknown:
+        raise DataFormatError(f"{path}: unknown {what} {unknown}; allowed: {list(allowed)}")

@@ -17,7 +17,7 @@ seed independently of the layer seeds.
 
 from dataclasses import dataclass, replace
 
-from .autoencoders import AutoencoderSpec, CorruptionSpec, KernelDecoder, encode, rand_ae_train
+from .autoencoders import AutoencoderSpec, KernelDecoder, encode, rand_ae_train
 from .data import fit_scaling
 from .numerics import RngState, ShapeError, check_finite, concat_cols, derive_seed
 from .shallow import ShallowModel, elm_train, kelm_train, rvfl_train
@@ -41,7 +41,6 @@ class DeepConfig:
     clf_activation: str = "sigmoid"
     clf_kernel: KernelSpec | None = None  # kelm classifier only
     seed: int = 0
-    corrupt_all_layers: bool = True  # False: corruption on layer 1 only
 
     def __post_init__(self):
         if not self.layers:
@@ -96,8 +95,6 @@ def deep_train(X, Y, cfg, clf_widths=None):
             assert inp.shape[1] == expected, (
                 f"dense layer {i} input width {inp.shape[1]} != {expected}"
             )
-        if not cfg.corrupt_all_layers and i > 0:
-            spec = replace(spec, corruption=CorruptionSpec("none"))
         enc = rand_ae_train(inp, spec, RngState(derive_seed(cfg.seed, "layer", i)))
         H = encode(inp, enc)
         scaler = fit_scaling(H, "minmax")
@@ -151,9 +148,9 @@ def deep_predict_path(models, X):
     return [shallow_predict(m.classifier, F, check_input=False) for m in models]
 
 
-def mlkelm_train(X, Y, layer_specs, layer_lams, clf_kernel, clf_lam,
-                 max_train_rows=4096, seed=0):
-    """Kernel stack: every random layer and the classifier become kernel maps.
+def mlkelm_train(X, Y, spec, lam, layers, max_train_rows=4096, seed=0):
+    """Kernel stack: each of the layers and the classifier is a kernel-ridge
+    map with the one kernel spec and weight lam.
 
     Training factorizes an n-by-n kernel matrix per layer, so n is
     capped: exceeding max_train_rows raises instead of thrashing.
@@ -164,18 +161,12 @@ def mlkelm_train(X, Y, layer_specs, layer_lams, clf_kernel, clf_lam,
             f"{n} training rows exceed the cap of {max_train_rows}: the kernel "
             f"stack needs O(n^2) memory per layer"
         )
-    if len(layer_specs) != len(layer_lams):
-        raise ValueError("need one lam per layer kernel")
-    layers = [
-        AutoencoderSpec(reg=KernelDecoder(spec, lam))
-        for spec, lam in zip(layer_specs, layer_lams)
-    ]
     cfg = DeepConfig(
-        layers=layers,
+        layers=[AutoencoderSpec(reg=KernelDecoder(spec, lam))] * layers,
         connectivity="plain",
         classifier="kelm",
-        clf_kernel=clf_kernel,
-        clf_lam=clf_lam,
+        clf_kernel=spec,
+        clf_lam=lam,
         seed=seed,
     )
     return deep_train(X, Y, cfg)

@@ -10,11 +10,9 @@ import math
 from dataclasses import dataclass
 
 from .autoencoders import AutoencoderSpec, CorruptionSpec
-from .deep import (DeepConfig, DeepModel, deep_predict, deep_predict_path, deep_train,
-                   mlkelm_train)
+from .deep import DeepConfig, DeepModel, deep_predict_path, deep_train, mlkelm_train
 from .numerics import ACTIVATION_NAMES
 from .shallow import elm_train, kelm_train, rvfl_train
-from .shallow import predict as shallow_predict
 from .shallow import predict_path as shallow_predict_path
 from .solvers import ElasticNetConfig, KernelSpec, L1Config, RidgeConfig
 
@@ -61,8 +59,8 @@ PARAM_RULES = {
 def check_param(key, value):
     """Raise ValueError unless value is valid for the param named key.
 
-    Every number must be finite: C = inf would make lam = 1/C = 0 and
-    quietly turn a ridge readout into the pseudoinverse.
+    Every number must be finite: C = inf would make lam = 1/C = 0,
+    which the solvers reject only once training has begun.
     """
     test, wanted = PARAM_RULES[key]
     if _number(value) and not math.isfinite(value):
@@ -165,28 +163,6 @@ def build_deep_config(method, params, seed):
     )
 
 
-def _train_shallow(method, params, lam, X, Y, seed):
-    if method.classifier == "kelm":
-        return kelm_train(X, Y, KernelSpec("rbf", sigma=params["sigma"]), lam)
-    train = rvfl_train if method.classifier == "rvfl" else elm_train
-    return train(X, Y, int(params["clf_width"]), lam, seed, params["activation"])
-
-
-def train_method(method, params, X, Y, seed):
-    """Train one model of the given method at fixed hyperparameters."""
-    params = resolve_params(method, params)
-    lam = 1.0 / params["C"]
-    if method.family == "shallow":
-        return _train_shallow(method, params, lam, X, Y, seed)
-    if method.family == "kernel_stack":
-        spec = KernelSpec("rbf", sigma=params["sigma"])
-        L = int(params["layers"])
-        return mlkelm_train(X, Y, [spec] * L, [lam] * L, spec, lam,
-                            max_train_rows=int(params["max_train_rows"]),
-                            seed=seed)
-    return deep_train(X, Y, build_deep_config(method, params, seed))
-
-
 # The param along which the candidates of one group share their work:
 # for shallow nets only the ridge shift depends on C; a deep stack does
 # not depend on its classifier's width. A kernel stack shares nothing.
@@ -200,24 +176,36 @@ def group_key(method, params):
 
 
 def train_group(method, group, X, Y, seed):
-    """train_method at each params of group, which share one group_key.
+    """One model per params of group, which share one group_key; a group
+    of one is train_method.
 
     Shallow groups are fitted along a C path (one layer draw, one design,
     one Gram or kernel matrix); deep groups read one trained stack and
-    one classifier input. Each model is bitwise the one train_method
-    builds at its params.
+    one classifier input; kernel stacks are trained one by one. Each
+    model is bitwise the one its params give as a group of one.
     """
     group = [resolve_params(method, params) for params in group]
     if len({group_key(method, params) for params in group}) != 1:
         raise ValueError(f"{method.name} candidates of one group differ off "
                          f"its group axis {GROUP_AXIS.get(method.family)}")
     params = group[0]
-    if method.family == "shallow":
-        return _train_shallow(method, params, [1.0 / p["C"] for p in group], X, Y, seed)
     if method.family == "deep":
         return deep_train(X, Y, build_deep_config(method, params, seed),
                           [int(p["clf_width"]) for p in group])
-    return [train_method(method, p, X, Y, seed) for p in group]
+    if method.family == "kernel_stack":
+        return [mlkelm_train(X, Y, KernelSpec("rbf", sigma=p["sigma"]), 1.0 / p["C"],
+                             int(p["layers"]), int(p["max_train_rows"]), seed)
+                for p in group]
+    lams = [1.0 / p["C"] for p in group]
+    if method.classifier == "kelm":
+        return kelm_train(X, Y, KernelSpec("rbf", sigma=params["sigma"]), lams)
+    train = rvfl_train if method.classifier == "rvfl" else elm_train
+    return train(X, Y, int(params["clf_width"]), lams, seed, params["activation"])
+
+
+def train_method(method, params, X, Y, seed):
+    """Train one model of the given method at fixed hyperparameters."""
+    return train_group(method, [params], X, Y, seed)[0]
 
 
 def predict_group(models, X):
@@ -229,9 +217,7 @@ def predict_group(models, X):
 
 
 def predict_method(model, X):
-    if isinstance(model, DeepModel):
-        return deep_predict(model, X)
-    return shallow_predict(model, X)
+    return predict_group([model], X)[0]
 
 
 def hidden_nodes(method, params):

@@ -31,7 +31,7 @@ from .shallow import RandomLayer, ShallowModel
 from .solvers import ElasticNetConfig, KernelMap, KernelSpec, L1Config, RidgeConfig
 
 MAGIC = b"RNMODEL1"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 # every dataclass reachable from ShallowModel and DeepModel; load builds no other
 REGISTRY = {cls.__name__: cls for cls in (

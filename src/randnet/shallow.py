@@ -51,7 +51,6 @@ class ShallowModel:
     layer: RandomLayer | None = None
     weights: np.ndarray | None = None  # Beta over design(X)
     direct_links: bool = False
-    output_bias: bool = False
     kernel_map: KernelMap | None = None
 
     def design(self, X):
@@ -59,8 +58,6 @@ class ShallowModel:
         parts = [self.layer.transform(X)]
         if self.direct_links:
             parts.append(X)
-        if self.output_bias:
-            parts.append(np.ones((X.shape[0], 1)))
         return concat_cols(parts)
 
 
@@ -69,28 +66,23 @@ def _per_lam(lam, fits, make):
     return [make(fit) for fit in fits] if np.ndim(lam) else make(fits)
 
 
-def rvfl_train(X, Y, width, lam, seed, activation="sigmoid", direct_links=True,
-               output_bias=False):
-    """Random hidden layer, then ridge on D = [H X] (plus optional bias column).
+def rvfl_train(X, Y, width, lam, seed, activation="sigmoid", direct_links=True):
+    """Random hidden layer, then ridge on D = [H X] with lam > 0.
 
-    lam = 0 routes through the pseudoinverse instead of ridge. A sequence
-    of lams gives one model per lam from one layer draw, one design and
-    one Gram matrix.
+    A sequence of lams gives one model per lam from one layer draw, one
+    design and one Gram matrix.
     """
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
-    if np.any(np.less(lam, 0)):
-        raise ValueError(f"lam must be >= 0, got {lam}")
     base = ShallowModel(make_random_layer(X.shape[1], width, seed, activation),
-                        direct_links=direct_links, output_bias=output_bias)
+                        direct_links=direct_links)
     betas = ridge_solve(base.design(X), Y, lam)
     return _per_lam(lam, betas, lambda beta: replace(base, weights=beta))
 
 
 def elm_train(X, Y, width, lam, seed, activation="sigmoid"):
-    """RVFL with the direct links (and output bias) ablated; shares its code path."""
-    return rvfl_train(X, Y, width, lam, seed, activation,
-                      direct_links=False, output_bias=False)
+    """RVFL with the direct links ablated, so ridge on D = H; shares its code path."""
+    return rvfl_train(X, Y, width, lam, seed, activation, direct_links=False)
 
 
 def kelm_train(X, Y, spec, lam):

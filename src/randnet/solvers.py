@@ -38,13 +38,13 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class RidgeConfig:
-    """l2 penalty weight; lam = 0 gives the minimum-norm least-squares fit."""
+    """l2 penalty weight, finite and > 0 (pinv_solve is the lam -> 0 limit)."""
 
     lam: float = 1.0
 
     def __post_init__(self):
-        if not 0 <= self.lam < np.inf:
-            raise ValueError(f"ridge lam must be finite and >= 0, got {self.lam}")
+        if not 0 < self.lam < np.inf:
+            raise ValueError(f"ridge lam must be > 0 and finite, got {self.lam}")
 
 
 @dataclass
@@ -58,8 +58,8 @@ class L1Config:
             raise ValueError(f"l1 lam must be > 0 and finite, got {self.lam}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be > 0 and finite, got {self.tol}")
 
 
 @dataclass
@@ -77,6 +77,10 @@ class ElasticNetConfig:
             raise ValueError(f"alpha_mix must be in [0, 1], got {self.alpha_mix}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        for name in ("tol_primal", "tol_dual"):
+            tol = getattr(self, name)
+            if not 0 < tol < np.inf:
+                raise ValueError(f"{name} must be > 0 and finite, got {tol}")
 
 
 @dataclass
@@ -187,18 +191,14 @@ def ridge_dual(D, Y, lam):
 
 
 def ridge_solve(D, Y, lam):
-    """Closed-form readout: the pseudoinverse at lam = 0, otherwise ridge
-    on whichever of the two equivalent systems is smaller.
+    """Closed-form readout: ridge with lam > 0 on whichever of the two
+    equivalent systems is smaller.
 
-    Given a sequence, this is the regularization path: every positive
-    lam shares one Gram matrix.
+    Given a sequence, this is the regularization path: every lam shares
+    one Gram matrix.
     """
-    lams = _lams(lam)
-    shifted = [value for value in lams if value != 0]
     solve = ridge_dual if D.shape[0] < D.shape[1] else ridge_primal
-    betas = iter(solve(D, Y, shifted) if shifted else ())
-    return _one_or_all(lam, [pinv_solve(D, Y) if value == 0 else next(betas)
-                             for value in lams])
+    return solve(D, Y, lam)
 
 
 def pinv_solve(D, Y):

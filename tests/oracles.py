@@ -94,10 +94,8 @@ def shifted_solve(G, B, lam):
 
 
 def ridge_one_lam(D, Y, lam):
-    """One ridge fit from scratch: pseudoinverse at lam = 0, otherwise a
-    fresh Gram matrix of the smaller system with lam added to its diagonal."""
-    if lam == 0:
-        return np.linalg.lstsq(D, Y, rcond=max(D.shape) * np.finfo(np.float64).eps)[0]
+    """One ridge fit from scratch: a fresh Gram matrix of the smaller
+    system with lam added to its diagonal."""
     if D.shape[0] < D.shape[1]:
         return D.T @ shifted_solve(D @ D.T, Y, lam)
     return shifted_solve(D.T @ D, D.T @ Y, lam)

@@ -155,6 +155,24 @@ def test_config_rejects_bad_yaml(tmp_path):
         load_config(p)
 
 
+def test_bench_rejects_manifest_with_unknown_role(tmp_path, capsys):
+    # "valid" is no role: loaded, it would fail every cell for want of a
+    # validation partition while the run exits 0
+    (tmp_path / "toy.csv").write_text("".join(f"{i},{-i},{i % 2}\n" for i in range(12)))
+    for name, rows in (("train", range(6)), ("valid", range(6, 9)), ("test", range(9, 12))):
+        (tmp_path / f"{name}.txt").write_text("".join(f"{i}\n" for i in rows))
+    (tmp_path / "toy.yaml").write_text(
+        "csv: {path: toy.csv}\n"
+        "partitions: {train: train.txt, valid: valid.txt, test: test.txt}\n")
+    p = tmp_path / "run.yaml"
+    p.write_text("seeds: [0]\ndatasets: [{name: toy, manifest: toy.yaml}]\n"
+                 "methods: [{name: rvfl, grid: {clf_widths: [5], C_values: [1.0]}}]\n")
+    out = tmp_path / "bench"
+    assert main(["bench", "--config", str(p), "--out", str(out)]) == 2
+    assert "unknown partition roles ['valid']" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
 # ------------------------------------------------------------------- train
 
 

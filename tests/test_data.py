@@ -175,6 +175,20 @@ def test_manifest_unknown_key_rejected(tmp_path):
         load_manifest(man)
 
 
+@pytest.mark.parametrize("csv_spec, parts, key", [
+    ('{path: d.csv, delimeter: ";"}', "{train: train.txt}", "delimeter"),
+    ("{path: d.csv}", "{train: train.txt, valid: val.txt}", "valid"),
+], ids=["csv_key", "partition_role"])
+def test_manifest_names_unknown_csv_key_or_role(tmp_path, csv_spec, parts, key):
+    # a misspelled key would be ignored and fail later with another message
+    write(tmp_path, "d.csv", "1,2,0\n3,4,1\n5,6,0\n7,8,1\n")
+    write(tmp_path, "train.txt", "0\n1\n")
+    write(tmp_path, "val.txt", "2\n")
+    man = write(tmp_path, "ds.yaml", f"csv: {csv_spec}\npartitions: {parts}\n")
+    with pytest.raises(DataFormatError, match=f"unknown .*'{key}'"):
+        load_manifest(man)
+
+
 def test_blobs_deterministic_and_separable_shape():
     a = separable_blobs(n=50, n_test=20, seed=3)
     b = separable_blobs(n=50, n_test=20, seed=3)

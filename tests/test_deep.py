@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from randnet.autoencoders import AutoencoderSpec, CorruptionSpec
+from randnet.autoencoders import AutoencoderSpec, CorruptionSpec, KernelDecoder
 from randnet.data import fit_scaling
 from randnet.deep import (
     DeepConfig,
@@ -140,25 +140,14 @@ def test_deep_predict_deterministic(blobs):
     np.testing.assert_array_equal(s1, s2)
 
 
-def test_corrupt_first_layer_only_flag(blobs):
-    X, Y, _ = blobs
-    noisy = CorruptionSpec("gaussian", sigma=0.4)
-    all_cfg = DeepConfig(layers=layer_specs((10, 10), corruption=noisy),
-                         seed=6, clf_width=20, corrupt_all_layers=True)
-    first_cfg = DeepConfig(layers=layer_specs((10, 10), corruption=noisy),
-                           seed=6, clf_width=20, corrupt_all_layers=False)
-    a = deep_train(X, Y, all_cfg)
-    b = deep_train(X, Y, first_cfg)
-    np.testing.assert_array_equal(a.encoders[0].decoder, b.encoders[0].decoder)
-    assert np.any(a.encoders[1].decoder != b.encoders[1].decoder)
-
-
 def test_mlkelm_near_identity_first_layer(blobs):
     # a linear-kernel layer at tiny lam is close to an identity map up
     # to the affine rescale, so predictions track plain KRR closely
     X, Y, labels = blobs
-    model = mlkelm_train(X, Y, [KernelSpec("linear")], [1e-8],
-                         KernelSpec("rbf", sigma=2.0), 0.1)
+    cfg = DeepConfig(layers=[AutoencoderSpec(reg=KernelDecoder(KernelSpec("linear"), 1e-8))],
+                     connectivity="plain", classifier="kelm",
+                     clf_kernel=KernelSpec("rbf", sigma=2.0), clf_lam=0.1)
+    model = deep_train(X, Y, cfg)
     _, pred_deep = deep_predict(model, X)
     scaler = fit_scaling(X, "minmax")
     krr = kelm_train(scaler.apply(X), Y, KernelSpec("rbf", sigma=2.0), 0.1)
@@ -171,16 +160,13 @@ def test_mlkelm_cap_guard(blobs):
     big_X = np.tile(X, (10, 1))
     big_Y = np.tile(Y, (10, 1))
     with pytest.raises(ResourceError, match="O\\(n\\^2\\)"):
-        mlkelm_train(big_X, big_Y, [KernelSpec("rbf")], [0.1],
-                     KernelSpec("rbf"), 0.1, max_train_rows=1500)
+        mlkelm_train(big_X, big_Y, KernelSpec("rbf"), 0.1, 1, max_train_rows=1500)
 
 
 def test_mlkelm_deterministic(blobs):
     X, Y, _ = blobs
-    a = mlkelm_train(X, Y, [KernelSpec("rbf", sigma=1.0)], [0.1],
-                     KernelSpec("rbf", sigma=1.0), 0.1)
-    b = mlkelm_train(X, Y, [KernelSpec("rbf", sigma=1.0)], [0.1],
-                     KernelSpec("rbf", sigma=1.0), 0.1)
+    a = mlkelm_train(X, Y, KernelSpec("rbf", sigma=1.0), 0.1, 1)
+    b = mlkelm_train(X, Y, KernelSpec("rbf", sigma=1.0), 0.1, 1)
     sa, _ = deep_predict(a, X)
     sb, _ = deep_predict(b, X)
     np.testing.assert_array_equal(sa, sb)

@@ -74,8 +74,7 @@ def test_deep_roundtrip_all_variants(blobs, tmp_path):
 
 def test_kernel_stack_roundtrip(blobs, tmp_path):
     X, Y = blobs
-    model = mlkelm_train(X, Y, [KernelSpec("rbf", sigma=1.0)], [0.1],
-                         KernelSpec("rbf", sigma=1.0), 0.1)
+    model = mlkelm_train(X, Y, KernelSpec("rbf", sigma=1.0), 0.1, 1)
     p = tmp_path / "k.rnm"
     save_model(model, p)
     loaded = load_model(p)
@@ -102,13 +101,9 @@ def _case_elm(X, Y):
     return elm_train(X, Y, width=25, lam=0.1, seed=2)
 
 
-def _case_output_bias(X, Y):
-    return rvfl_train(X, Y, width=20, lam=0.1, seed=4, output_bias=True)
-
-
-def _case_kelm_classifier_masking(X, Y):
+def _case_kelm_classifier_denoise(X, Y):
     layers = [AutoencoderSpec(width=7, reg=RidgeConfig(lam=0.1),
-                              corruption=CorruptionSpec("masking", nu=0.5))]
+                              corruption=CorruptionSpec("gaussian", sigma=0.3))]
     cfg = DeepConfig(layers=layers, connectivity="direct", classifier="kelm",
                      clf_kernel=KernelSpec("rbf", sigma=0.8), clf_lam=0.1, seed=5)
     return deep_train(X, Y, cfg)
@@ -124,8 +119,7 @@ def _case_kernel_decoders(X, Y):
 
 ROUNDTRIP_CASES = {
     "elm": _case_elm,
-    "output_bias": _case_output_bias,
-    "kelm_classifier_masking": _case_kelm_classifier_masking,
+    "kelm_classifier_denoise": _case_kelm_classifier_denoise,
     "kernel_decoders": _case_kernel_decoders,
 }
 
@@ -154,7 +148,6 @@ DECODERS = {
 CORRUPTIONS = {
     "none": CorruptionSpec(),
     "gaussian": CorruptionSpec("gaussian", sigma=0.2),
-    "masking": CorruptionSpec("masking", nu=0.5),
 }
 RBF = KernelSpec("rbf", sigma=1.0)
 
@@ -170,9 +163,8 @@ def small_models(draw):
     if draw(st.booleans()):
         if classifier == "kelm":
             return kelm_train(X, Y, RBF, 0.1), X
-        return rvfl_train(X, Y, width, draw(st.sampled_from([0.0, 0.1])), seed,
-                          direct_links=classifier == "rvfl",
-                          output_bias=draw(st.booleans())), X
+        return rvfl_train(X, Y, width, draw(st.sampled_from([1e-6, 0.1])), seed,
+                          direct_links=classifier == "rvfl"), X
     layers = [AutoencoderSpec(width=draw(st.integers(1, 8)),
                               reg=DECODERS[draw(st.sampled_from(sorted(DECODERS)))],
                               corruption=CORRUPTIONS[draw(st.sampled_from(sorted(CORRUPTIONS)))])
@@ -250,20 +242,17 @@ def _rename_type(header):
     header["model"]["__type__"] = "Dataset"
 
 
-def _version_1(header):
-    header["version"] = 1
-
-
 @pytest.mark.parametrize("edit, message", [
     ({"edit_payload": lambda p: p[:-8]}, "payload is"),
     ({"edit_payload": lambda p: p + b"junk"}, "payload is"),
     ({"edit_payload": _flip_last_byte}, "SHA-256"),
     ({"edit_header": _rename_type}, "unknown __type__ 'Dataset'"),
     ({"edit_header": _drop_direct_links}, "missing or unknown fields ['direct_links']"),
-    ({"edit_header": _version_1}, "unsupported container version 1"),
+    ({"edit_header": lambda h: h.update(version=1)}, "unsupported container version 1"),
     ({"edit_header": lambda h: h.update(version=2)}, "unsupported container version 2"),
+    ({"edit_header": lambda h: h.update(version=3)}, "unsupported container version 3"),
 ], ids=["short_payload", "long_payload", "digest_mismatch", "unknown_type",
-        "missing_field", "version_1", "version_2"])
+        "missing_field", "version_1", "version_2", "version_3"])
 def test_defective_file_fails_loudly(blobs, tmp_path, edit, message):
     X, Y = blobs
     p = tmp_path / "m.rnm"

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randnet.numerics import NumericError, RngState, ShapeError
+from randnet.shallow import rvfl_train
 from randnet.solvers import (
     ElasticNetConfig,
     KernelSpec,
@@ -84,10 +85,15 @@ def test_ridge_auto_dispatch_matches_both():
     np.testing.assert_array_equal(auto2, ridge_primal(D2, Y2, 0.5))
 
 
-@pytest.mark.parametrize("n, p", [(20, 40), (40, 20)])
-def test_ridge_solve_at_zero_lam_is_pinv(n, p):
-    D, Y = random_problem(6, n, p)
-    np.testing.assert_array_equal(ridge_solve(D, Y, 0), pinv_solve(D, Y))
+def test_zero_lam_is_rejected():
+    # lam = 0 is the pseudoinverse, which only pinv_solve computes
+    D, Y = random_problem(6, 20, 40)
+    with pytest.raises(ValueError, match="lam must be > 0"):
+        ridge_solve(D, Y, 0.0)
+    with pytest.raises(ValueError, match="lam must be > 0"):
+        RidgeConfig(lam=0.0)
+    with pytest.raises(ValueError, match="lam must be > 0"):
+        rvfl_train(D, Y, width=5, lam=0.0, seed=0)
 
 
 # ----------------------------------------------------------- pseudoinverse
@@ -300,15 +306,28 @@ def test_config_validation():
         KernelSpec("quadratic")
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("make", [
+    lambda tol: L1Config(lam=1.0, tol=tol),
+    lambda tol: ElasticNetConfig(lam=1.0, tol_primal=tol),
+    lambda tol: ElasticNetConfig(lam=1.0, tol_dual=tol),
+], ids=["l1_tol", "elastic_tol_primal", "elastic_tol_dual"])
+def test_config_rejects_unreachable_tolerance(make, tol):
+    # a tolerance that is not finite and > 0 can never be met, so the
+    # solver would spend its whole budget and return unconverged
+    with pytest.raises(ValueError, match="must be > 0 and finite"):
+        make(tol)
+
+
 # ------------------------------------------------------ regularization path
 
-PATH_LAMS = (1e3, 0.0, 1e-7, 1.0, 0.0, 1e-3)
+PATH_LAMS = (1e3, 1e-7, 1.0, 1e-3, 1e-7)
 
 
 @pytest.mark.parametrize("n,p", [(6, 10), (10, 6), (8, 8)])
 def test_ridge_path_is_bitwise_per_lam(n, p):
     # one Gram matrix for the whole path; each fit must carry exactly the
-    # bits of a fit from scratch at its lam, lam = 0 (pseudoinverse) too
+    # bits of a fit from scratch at its lam, a repeated lam too
     D, Y = random_problem(7, n, p)
     path = ridge_solve(D, Y, list(PATH_LAMS))
     assert len(path) == len(PATH_LAMS)
