@@ -140,12 +140,21 @@ class ScalingStats:
                 f"matrix has {M.shape[1]} features, scaler expects {self.center.shape[0]}"
             )
         ok = self.spread > 0
-        out = np.zeros_like(M, dtype=np.float64)
+        # with no degenerate feature a basic slice selects every column
+        # without the copy and scatter of a boolean mask
+        cols = slice(None) if ok.all() else ok
+        out = M[:, cols] - self.center[cols]
         if self.method == "minmax":
-            # train min/max -> [-1, 1]
-            out[:, ok] = -1.0 + 2.0 * (M[:, ok] - self.center[ok]) / self.spread[ok]
+            # train min/max -> [-1, 1], rounded as -1 + 2 (M - min) / spread
+            out *= 2.0
+            out /= self.spread[cols]
+            out += -1.0
         else:
-            out[:, ok] = (M[:, ok] - self.center[ok]) / self.spread[ok]
+            out /= self.spread[cols]
+        if cols is ok:
+            full = np.zeros_like(M, dtype=np.float64)
+            full[:, ok] = out
+            return full
         return out
 
 
@@ -227,6 +236,15 @@ def _read_index_file(path, n):
     return np.asarray(idx, dtype=np.int64)
 
 
+# (key, default, what it must be, check) for each key of a manifest's csv entry
+_CSV_SCHEMA = (
+    ("path", None, "a file name", lambda v: isinstance(v, str)),
+    ("label_col", -1, "an integer", lambda v: type(v) is int),
+    ("header", False, "true or false", lambda v: type(v) is bool),
+    ("delimiter", ",", "one character", lambda v: isinstance(v, str) and len(v) == 1),
+)
+
+
 def load_manifest(path):
     """Load a dataset manifest: CSV schema plus partition file bindings."""
     path = Path(path)
@@ -240,17 +258,17 @@ def load_manifest(path):
         raise DataFormatError(f"{path}: manifest must be a mapping")
     _reject_unknown(path, "manifest keys", doc, ("name", "csv", "partitions", "disjoint"))
     csv_spec = doc.get("csv")
-    if not isinstance(csv_spec, dict) or "path" not in csv_spec:
-        raise DataFormatError(f"{path}: manifest needs csv.path")
-    _reject_unknown(path, "csv keys", csv_spec, ("path", "label_col", "header", "delimiter"))
+    if not isinstance(csv_spec, dict):
+        raise DataFormatError(f"{path}: manifest needs a csv mapping with a path")
+    _reject_unknown(path, "csv keys", csv_spec, [key for key, *_ in _CSV_SCHEMA])
+    schema = {}
+    for key, default, what, valid in _CSV_SCHEMA:
+        value = csv_spec.get(key, default)
+        if not valid(value):
+            raise DataFormatError(f"{path}: csv.{key} must be {what}, got {value!r}")
+        schema[key] = value
     base = path.parent
-    ds = load_csv(
-        base / csv_spec["path"],
-        label_col=csv_spec.get("label_col", -1),
-        header=csv_spec.get("header", False),
-        delimiter=csv_spec.get("delimiter", ","),
-        name=doc.get("name", path.stem),
-    )
+    ds = load_csv(base / schema.pop("path"), **schema, name=doc.get("name", path.stem))
     parts = doc.get("partitions")
     if not isinstance(parts, dict):
         raise DataFormatError(f"{path}: manifest needs a partitions mapping")

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError
-from .data import fit_apply_scaling, load_manifest
+from .data import PARTITION_ROLES, fit_apply_scaling, load_manifest
 from .methods import get_method
 from .model_io import replace_atomically, save_model
 from .numerics import blas_threads
@@ -159,7 +159,12 @@ def run_bench(cfg, out_dir, resume=False, _fail_after=None):
 
     datasets = {}
     for decl in cfg.datasets:
-        datasets[decl.name] = materialize_dataset(decl, cfg)
+        ds = datasets[decl.name] = materialize_dataset(decl, cfg)
+        missing = [r for r in PARTITION_ROLES if r not in ds.partitions]
+        if missing:
+            # grid search needs all three; every cell of this dataset would fail
+            raise ConfigError(f"dataset {decl.name!r} lacks partition roles {missing}; "
+                              f"bench needs all of {list(PARTITION_ROLES)}")
 
     cells = [(d.name, m.name) for d in cfg.datasets for m in cfg.methods]
     lock = threading.Lock()

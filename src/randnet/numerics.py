@@ -1,10 +1,15 @@
-"""Deterministic randomness, activations, dense-matrix helpers, BLAS threads.
+"""Deterministic randomness, activations, dense-matrix helpers, ranks, BLAS threads.
 
 Everything downstream (random layers, autoencoders, stacked nets) draws
 its randomness through :class:`RngState`, a seeded PCG64 stream with
 hash-based splitting, so a whole pipeline is a pure function of its
-master seed. :func:`blas_threads` sets the thread count of every loaded
-OpenBLAS for the length of a ``with`` block.
+master seed. :func:`average_ranks` is the one ranking routine (AUC and
+the Friedman ranks). :func:`blas_threads` sets the thread count of every
+loaded OpenBLAS for the length of a ``with`` block.
+
+Only numpy and ``scipy.special`` are imported here. No randnet module
+imports scipy's stats subpackage: loading it would be about half of a
+cold start.
 """
 
 import ctypes
@@ -126,6 +131,24 @@ def concat_cols(parts):
     if len(parts) == 1:
         return parts[0]
     return np.hstack(parts)
+
+
+def average_ranks(x):
+    """1-based ranks of a 1-D array; tied values share the mean of their positions.
+
+    A group of t equal values occupying sorted positions e - t + 1 .. e
+    gets rank e - (t - 1) / 2, which float64 holds exactly (an integer or
+    an integer plus one half), so the result is bitwise that of
+    ``rankdata(x, method="average")`` in scipy's stats subpackage.
+    -0.0 and 0.0 tie. NaN or Inf raises :class:`NumericError` (a
+    ``ValueError``).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise ShapeError(f"average_ranks needs a 1-D array, got {x.ndim}-D")
+    check_finite("ranked values", x)
+    _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
 
 
 # (getter, setter) per OpenBLAS build: numpy's 64-bit-integer scipy-openblas,

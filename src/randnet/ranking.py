@@ -11,7 +11,9 @@ comparison is inclusive).
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
+from scipy.special import fdtri
+
+from .numerics import average_ranks
 
 # critical values q_alpha for 2..20 compared methods
 Q_TABLE = {
@@ -56,13 +58,17 @@ class SignificanceMatrix:
 
 
 def rank_rows(accuracy, methods=(), datasets=()):
-    """Rank methods within each dataset, highest accuracy first."""
+    """Rank methods within each dataset, highest accuracy first.
+
+    Rank 1 is the best method of a row and tied accuracies share the
+    mean of their ranks (:func:`randnet.numerics.average_ranks` on the
+    negated row). A NaN or Inf accuracy raises ``ValueError`` rather
+    than turning the Friedman statistic into NaN.
+    """
     accuracy = np.asarray(accuracy, dtype=np.float64)
     if accuracy.ndim != 2 or accuracy.shape[0] < 2 or accuracy.shape[1] < 2:
         raise ValueError("need at least 2 datasets and 2 methods")
-    ranks = np.vstack([
-        scipy.stats.rankdata(-row, method="average") for row in accuracy
-    ])
+    ranks = np.vstack([average_ranks(-row) for row in accuracy])
     return RankTable(accuracy, ranks, ranks.mean(axis=0), tuple(methods),
                      tuple(datasets))
 
@@ -95,8 +101,14 @@ def friedman_f(chi2, M, m):
 
 
 def f_critical(dof1, dof2, alpha=0.05):
-    """Upper critical value of the F distribution (incomplete-beta based)."""
-    return float(scipy.stats.f.ppf(1.0 - alpha, dof1, dof2))
+    """Upper critical value of the F distribution with (dof1, dof2) degrees of freedom.
+
+    The 1 - alpha quantile from ``scipy.special.fdtri`` (an inverse of
+    the regularized incomplete beta function). The ``f.ppf`` of scipy's
+    stats subpackage calls the same function with scale 1 and loc 0, so
+    the value is bitwise the same.
+    """
+    return float(fdtri(dof1, dof2, 1.0 - alpha))
 
 
 def nemenyi_q(m, alpha=0.05):

@@ -9,10 +9,10 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .methods import (check_param, group_key, hidden_nodes, predict_group, predict_method,
                       resolve_params, train_group, train_method)
+from .numerics import average_ranks
 
 C_EXPONENTS = (-7, -5, -3, -1, 1, 3, 5, 7)
 
@@ -81,7 +81,8 @@ def accuracy(labels_true, labels_pred):
 def auc(scores, labels):
     """Mann-Whitney AUC: P(score_pos > score_neg) + P(equal) / 2.
 
-    Computed from average ranks, which handles ties exactly.
+    Computed from average ranks, which handles ties exactly; a NaN or
+    Inf score raises ``ValueError``.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -89,7 +90,7 @@ def auc(scores, labels):
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes present")
-    ranks = rankdata(scores, method="average")
+    ranks = average_ranks(scores)
     pos_rank_sum = float(np.sum(ranks[labels == 1]))
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

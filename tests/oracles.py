@@ -85,6 +85,18 @@ def auc_brute_force(scores, labels):
     return total / (len(pos) * len(neg))
 
 
+def scaling_apply_masked(stats, M):
+    """ScalingStats.apply as a boolean-mask gather and scatter into zeros,
+    in the roundings of -1 + 2 (M - center) / spread."""
+    ok = stats.spread > 0
+    out = np.zeros_like(M, dtype=np.float64)
+    if stats.method == "minmax":
+        out[:, ok] = -1.0 + 2.0 * (M[:, ok] - stats.center[ok]) / stats.spread[ok]
+    else:
+        out[:, ok] = (M[:, ok] - stats.center[ok]) / stats.spread[ok]
+    return out
+
+
 def shifted_solve(G, B, lam):
     """(G + lam I)^-1 B through scipy's positive-definite solve, on a
     fresh copy of G with lam added to its diagonal."""

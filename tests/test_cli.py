@@ -1,6 +1,8 @@
 import json
 import logging
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -155,22 +157,48 @@ def test_config_rejects_bad_yaml(tmp_path):
         load_config(p)
 
 
-def test_bench_rejects_manifest_with_unknown_role(tmp_path, capsys):
-    # "valid" is no role: loaded, it would fail every cell for want of a
-    # validation partition while the run exits 0
+def bench_toy_manifest(tmp_path, partitions):
+    """Exit code of `randnet bench` on a 12-row manifest dataset, and its out dir."""
     (tmp_path / "toy.csv").write_text("".join(f"{i},{-i},{i % 2}\n" for i in range(12)))
     for name, rows in (("train", range(6)), ("valid", range(6, 9)), ("test", range(9, 12))):
         (tmp_path / f"{name}.txt").write_text("".join(f"{i}\n" for i in rows))
-    (tmp_path / "toy.yaml").write_text(
-        "csv: {path: toy.csv}\n"
-        "partitions: {train: train.txt, valid: valid.txt, test: test.txt}\n")
+    (tmp_path / "toy.yaml").write_text(f"csv: {{path: toy.csv}}\npartitions: {partitions}\n")
     p = tmp_path / "run.yaml"
     p.write_text("seeds: [0]\ndatasets: [{name: toy, manifest: toy.yaml}]\n"
                  "methods: [{name: rvfl, grid: {clf_widths: [5], C_values: [1.0]}}]\n")
     out = tmp_path / "bench"
-    assert main(["bench", "--config", str(p), "--out", str(out)]) == 2
+    return main(["bench", "--config", str(p), "--out", str(out)]), out
+
+
+def test_bench_rejects_manifest_with_unknown_role(tmp_path, capsys):
+    # "valid" is no role: loaded, it would fail every cell for want of a
+    # validation partition while the run exits 0
+    code, out = bench_toy_manifest(
+        tmp_path, "{train: train.txt, valid: valid.txt, test: test.txt}")
+    assert code == 2
     assert "unknown partition roles ['valid']" in capsys.readouterr().err
     assert not (out / "results.csv").exists()
+
+
+def test_bench_rejects_dataset_without_validation_partition(tmp_path, capsys):
+    # grid search selects on validation: without it every cell would fail
+    code, out = bench_toy_manifest(tmp_path, "{train: train.txt, test: test.txt}")
+    assert code == 2
+    assert "dataset 'toy' lacks partition roles ['validation']" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+    assert not (out / "bench_manifest.json").exists()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about half of a cold start; nothing in randnet needs it
+    code = ("import sys, randnet, randnet.cli, randnet.model_io; "
+            "print('scipy.stats' in sys.modules)")
+    src = str(Path(randnet.harness.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------------- train

@@ -13,6 +13,8 @@ from randnet.data import (
 )
 from randnet.synthetic import interleaved_arcs, separable_blobs
 
+from oracles import scaling_apply_masked
+
 
 def write(tmp_path, name, text):
     p = tmp_path / name
@@ -91,6 +93,21 @@ def test_scaling_degenerate_feature_maps_to_zero():
 def test_zscore_scaling():
     stats = fit_scaling(np.array([[0.0], [2.0]]), "zscore")
     np.testing.assert_allclose(stats.apply(np.array([[1.0]])), [[0.0]])
+
+
+@pytest.mark.parametrize("method", ["minmax", "zscore"])
+@pytest.mark.parametrize("degenerate", [False, True], ids=["all_spread", "zero_spread"])
+def test_scaling_apply_bitwise_masked_path(method, degenerate):
+    # without a zero-spread column apply skips the mask: same bits as the mask path
+    rng = np.random.Generator(np.random.PCG64(4))
+    train = rng.normal(size=(40, 6)) * rng.uniform(0.1, 30.0, 6) + rng.uniform(-5, 5, 6)
+    if degenerate:
+        train[:, 2] = 1.5
+    stats = fit_scaling(train, method)
+    M = rng.normal(size=(256, 6)) * 10.0
+    out = stats.apply(M)
+    assert out.tobytes() == scaling_apply_masked(stats, M).tobytes()
+    assert out.flags.c_contiguous
 
 
 def test_fit_apply_scaling_uses_train_rows_only():
@@ -186,6 +203,23 @@ def test_manifest_names_unknown_csv_key_or_role(tmp_path, csv_spec, parts, key):
     write(tmp_path, "val.txt", "2\n")
     man = write(tmp_path, "ds.yaml", f"csv: {csv_spec}\npartitions: {parts}\n")
     with pytest.raises(DataFormatError, match=f"unknown .*'{key}'"):
+        load_manifest(man)
+
+
+@pytest.mark.parametrize("csv_spec, message", [
+    ("path: d.csv, label_col: x", "csv.label_col must be an integer, got 'x'"),
+    ("path: d.csv, label_col: true", "csv.label_col must be an integer, got True"),
+    ("path: d.csv, header: 1", "csv.header must be true or false, got 1"),
+    ('path: d.csv, delimiter: ";;"', "csv.delimiter must be one character, got ';;'"),
+    ("path: 5", "csv.path must be a file name, got 5"),
+    ("header: true", "csv.path must be a file name, got None"),
+], ids=["label_col_str", "label_col_bool", "header", "delimiter", "path", "no_path"])
+def test_manifest_checks_csv_value_types(tmp_path, csv_spec, message):
+    # unchecked, these reached load_csv: a TypeError, or a silently misread file
+    write(tmp_path, "d.csv", "1,2,0\n3,4,1\n5,6,0\n7,8,1\n")
+    write(tmp_path, "train.txt", "0\n1\n")
+    man = write(tmp_path, "ds.yaml", f"csv: {{{csv_spec}}}\npartitions: {{train: train.txt}}\n")
+    with pytest.raises(DataFormatError, match=message):
         load_manifest(man)
 
 

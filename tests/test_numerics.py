@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from randnet.numerics import (
+    NumericError,
     RngState,
     ShapeError,
     activate,
+    average_ranks,
     concat_cols,
     derive_seed,
 )
@@ -136,3 +141,25 @@ def test_concat_then_slice_roundtrip():
     out = concat_cols([a, b])
     np.testing.assert_array_equal(out[:, :3], a)
     np.testing.assert_array_equal(out[:, 3:], b)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(-3, 3).map(float) | st.sampled_from([-0.0, 0.5, -2.5]),
+                min_size=1, max_size=60))
+def test_average_ranks_bitwise_rankdata(values):
+    # a few distinct values make long runs of ties; -0.0 must tie with 0.0
+    x = np.array(values)
+    ours, ref = average_ranks(x), rankdata(x, method="average")
+    assert ours.dtype == ref.dtype
+    assert ours.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_average_ranks_rejects_non_finite(bad):
+    with pytest.raises(NumericError, match="NaN or Inf"):
+        average_ranks([0.5, bad, 0.1])
+
+
+def test_average_ranks_rejects_2d():
+    with pytest.raises(ShapeError):
+        average_ranks(np.zeros((2, 2)))

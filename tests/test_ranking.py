@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.stats import studentized_range
+from scipy.stats import f, studentized_range
 
 from randnet.ranking import (
     Q_TABLE,
@@ -25,6 +25,12 @@ def test_rank_rows_strict_ordering():
     t = rank_rows(np.array([[0.9, 0.8, 0.7], [0.7, 0.8, 0.9]]))
     np.testing.assert_array_equal(t.ranks[0], [1, 2, 3])
     np.testing.assert_array_equal(t.ranks[1], [3, 2, 1])
+
+
+def test_rank_rows_rejects_nan_accuracy():
+    # a NaN row would make every mean rank, and so chi2 and F, NaN
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        rank_rows(np.array([[0.9, np.nan, 0.7], [0.7, 0.8, 0.9]]))
 
 
 def test_rank_rows_tie_averaging():
@@ -182,3 +188,13 @@ def test_rank_report_and_markdown_roundtrip():
     text = report_markdown(t, report)
     assert "Mean rank" in text
     assert "Nemenyi CD" in text
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.10])
+def test_f_critical_bitwise_f_ppf(alpha):
+    # fdtri is the function f.ppf evaluates (with scale 1 and loc 0)
+    d2 = np.arange(1, 401)
+    for d1 in range(1, 20):
+        ref = f.ppf(1.0 - alpha, d1, d2)
+        ours = np.array([f_critical(d1, int(n), alpha) for n in d2])
+        assert ours.tobytes() == ref.tobytes(), d1

@@ -121,6 +121,11 @@ def test_auc_single_class_rejected():
         auc([0.1, 0.2], [1, 1])
 
 
+def test_auc_rejects_nan_score():
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        auc([0.1, np.nan, 0.3, 0.4], [0, 0, 1, 1])
+
+
 def test_metrics_invariant_under_sample_permutation():
     rng = np.random.Generator(np.random.PCG64(2))
     scores = rng.uniform(0, 1, 50)
