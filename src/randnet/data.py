@@ -140,21 +140,18 @@ class ScalingStats:
                 f"matrix has {M.shape[1]} features, scaler expects {self.center.shape[0]}"
             )
         ok = self.spread > 0
-        # with no degenerate feature a basic slice selects every column
-        # without the copy and scatter of a boolean mask
-        cols = slice(None) if ok.all() else ok
-        out = M[:, cols] - self.center[cols]
+        # degenerate columns divide by 1 and are zeroed below
+        divisor = np.where(ok, self.spread, 1.0)
+        out = M - self.center
         if self.method == "minmax":
             # train min/max -> [-1, 1], rounded as -1 + 2 (M - min) / spread
             out *= 2.0
-            out /= self.spread[cols]
+            out /= divisor
             out += -1.0
         else:
-            out /= self.spread[cols]
-        if cols is ok:
-            full = np.zeros_like(M, dtype=np.float64)
-            full[:, ok] = out
-            return full
+            out /= divisor
+        if not ok.all():
+            out[:, ~ok] = 0.0
         return out
 
 

@@ -98,7 +98,7 @@ def test_zscore_scaling():
 @pytest.mark.parametrize("method", ["minmax", "zscore"])
 @pytest.mark.parametrize("degenerate", [False, True], ids=["all_spread", "zero_spread"])
 def test_scaling_apply_bitwise_masked_path(method, degenerate):
-    # without a zero-spread column apply skips the mask: same bits as the mask path
+    # apply runs unmasked on every column: the mask path's bits, +0.0 where spread is 0
     rng = np.random.Generator(np.random.PCG64(4))
     train = rng.normal(size=(40, 6)) * rng.uniform(0.1, 30.0, 6) + rng.uniform(-5, 5, 6)
     if degenerate:
