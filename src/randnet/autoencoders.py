@@ -103,7 +103,7 @@ def rand_ae_train(Hin, spec, rng):
     Hr = layer.transform(corrupt(Hin, spec.corruption, rng.spawn("noise")))
     converged = True
     if isinstance(spec.reg, RidgeConfig):
-        decoder = ridge_solve(Hr, Hin, spec.reg.lam)
+        decoder = ridge_solve(Hr, Hin, [spec.reg.lam])[0]
     elif isinstance(spec.reg, L1Config):
         res = fista_lasso(Hr, Hin, spec.reg)
         decoder, converged = res.weights, res.converged
@@ -117,7 +117,7 @@ def rand_ae_train(Hin, spec, rng):
 
 def kernel_ae_train(Hin, spec, lam):
     """Kernel layer: reconstruct Hin from K(Hin, Hin); encoding keeps its width."""
-    return EncoderWeights(kernel_map=fit_kernel_map(Hin, Hin, spec, lam))
+    return EncoderWeights(kernel_map=fit_kernel_map(Hin, Hin, spec, [lam])[0])
 
 
 def encode(Hin, enc):

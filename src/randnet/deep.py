@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from .autoencoders import AutoencoderSpec, KernelDecoder, encode, rand_ae_train
 from .data import fit_scaling
 from .numerics import RngState, ShapeError, check_finite, concat_cols, derive_seed
-from .shallow import ShallowModel, elm_train, kelm_train, rvfl_train
+from .shallow import ShallowModel, train_classifier
 from .shallow import predict as shallow_predict
 from .solvers import KernelSpec
 
@@ -104,20 +104,14 @@ def deep_train(X, Y, cfg, clf_widths=None):
     X_clf = _classifier_input(X, feats, cfg.connectivity)
 
     def with_classifier(width):
-        c = replace(cfg, clf_width=width)
-        return DeepModel(c, encoders, scalers, _train_classifier(X_clf, Y, c), d)
+        clf = train_classifier(cfg.classifier, X_clf, Y, [cfg.clf_lam], width,
+                               derive_seed(cfg.seed, "classifier"), cfg.clf_activation,
+                               cfg.clf_kernel)[0]
+        return DeepModel(replace(cfg, clf_width=width), encoders, scalers, clf, d)
 
     if clf_widths is None:
         return with_classifier(cfg.clf_width)
     return [with_classifier(width) for width in clf_widths]
-
-
-def _train_classifier(X_clf, Y, cfg):
-    clf_seed = derive_seed(cfg.seed, "classifier")
-    if cfg.classifier == "kelm":
-        return kelm_train(X_clf, Y, cfg.clf_kernel, cfg.clf_lam)
-    train = rvfl_train if cfg.classifier == "rvfl" else elm_train
-    return train(X_clf, Y, cfg.clf_width, cfg.clf_lam, clf_seed, cfg.clf_activation)
 
 
 def deep_features(model, X):

@@ -26,7 +26,7 @@ from .methods import get_method
 from .model_io import replace_atomically, save_model
 from .numerics import blas_threads
 from .ranking import rank_report, rank_rows, report_markdown, significance_marks
-from .selection import evaluate_fixed, grid_search
+from .selection import evaluate_fixed, grid_search, grouped_accuracy
 from .synthetic import interleaved_arcs, separable_blobs
 
 log = logging.getLogger("randnet")
@@ -293,28 +293,24 @@ def run_sweep(cfg, dataset_name, method_name, axes, out_dir):
     method = get_method(method_name)
     ds = materialize_dataset(decl, cfg)
     grid = cfg.grid_for(mdecl)
-    axis_values = {
-        "L": (1, 2, 3),
-        "N": grid.ae_widths,
-        "C": grid.C_values,
-        "nu": grid.noise_values,
-    }
     points = [{}]
     for axis in axes:
-        points = [dict(p, **{axis: v}) for p in points for v in axis_values[axis]]
+        param = SWEEP_AXES[axis]
+        values = (1, 2, 3) if param == "layers" else grid.axis(param)
+        points = [dict(p, **{param: v}) for p in points for v in values]
     if "test" not in ds.partitions:
         raise ConfigError(f"dataset {dataset_name!r} has no test partition to sweep")
+    Xtr, Ytr, _ = ds.part("train")
+    Xte, _, yte = ds.part("test")
+    scores = grouped_accuracy(method, [dict(mdecl.params, **p) for p in points],
+                              Xtr, Ytr, Xte, yte, cfg.seeds[0])
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sweep_path = out_dir / f"sweep_{dataset_name}__{method_name}.csv"
     with replace_atomically(sweep_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(axes) + ["accuracy"])
-        for point in points:
-            params = dict(mdecl.params)
-            params.update({SWEEP_AXES[a]: v for a, v in point.items()})
-            _, res = evaluate_fixed(ds, method, params, cfg.seeds[0],
-                                    score_roles=("test",))
-            writer.writerow([_format_cell(point[a]) for a in axes]
-                            + [repr(res.test_accuracy)])
+        for point, score in zip(points, scores):
+            writer.writerow([_format_cell(point[SWEEP_AXES[a]]) for a in axes]
+                            + [repr(score)])
     return sweep_path

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from .autoencoders import AutoencoderSpec, CorruptionSpec
 from .deep import DeepConfig, DeepModel, deep_predict_path, deep_train, mlkelm_train
 from .numerics import ACTIVATION_NAMES
-from .shallow import elm_train, kelm_train, rvfl_train
 from .shallow import predict_path as shallow_predict_path
+from .shallow import train_classifier
 from .solvers import ElasticNetConfig, KernelSpec, L1Config, RidgeConfig
 
 DEFAULT_PARAMS = {
@@ -192,15 +192,12 @@ def train_group(method, group, X, Y, seed):
     if method.family == "deep":
         return deep_train(X, Y, build_deep_config(method, params, seed),
                           [int(p["clf_width"]) for p in group])
+    kernel = KernelSpec("rbf", sigma=params["sigma"])
     if method.family == "kernel_stack":
-        return [mlkelm_train(X, Y, KernelSpec("rbf", sigma=p["sigma"]), 1.0 / p["C"],
-                             int(p["layers"]), int(p["max_train_rows"]), seed)
-                for p in group]
-    lams = [1.0 / p["C"] for p in group]
-    if method.classifier == "kelm":
-        return kelm_train(X, Y, KernelSpec("rbf", sigma=params["sigma"]), lams)
-    train = rvfl_train if method.classifier == "rvfl" else elm_train
-    return train(X, Y, int(params["clf_width"]), lams, seed, params["activation"])
+        return [mlkelm_train(X, Y, kernel, 1.0 / p["C"], int(p["layers"]),
+                             int(p["max_train_rows"]), seed) for p in group]
+    return train_classifier(method.classifier, X, Y, [1.0 / p["C"] for p in group],
+                            int(params["clf_width"]), seed, params["activation"], kernel)
 
 
 def train_method(method, params, X, Y, seed):

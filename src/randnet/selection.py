@@ -17,6 +17,11 @@ from .numerics import average_ranks
 C_EXPONENTS = (-7, -5, -3, -1, 1, 3, 5, 7)
 
 
+# the GridSpec field holding each searchable param's values
+GRID_FIELDS = {"ae_width": "ae_widths", "clf_width": "clf_widths", "C": "C_values",
+               "sigma": "sigma_values", "noise": "noise_values"}
+
+
 @dataclass
 class GridSpec:
     """Default search axes.
@@ -37,9 +42,7 @@ class GridSpec:
     search: str = "stagewise"
 
     def __post_init__(self):
-        for param, name in (("ae_width", "ae_widths"), ("clf_width", "clf_widths"),
-                            ("C", "C_values"), ("sigma", "sigma_values"),
-                            ("noise", "noise_values")):
+        for param, name in GRID_FIELDS.items():
             if not len(getattr(self, name)):
                 raise ValueError(f"grid axis {name} is empty")
             for value in getattr(self, name):
@@ -47,14 +50,9 @@ class GridSpec:
         if self.search not in ("stagewise", "full"):
             raise ValueError(f"unknown search policy {self.search!r}")
 
-    def axis(self, name):
-        return {
-            "ae_width": self.ae_widths,
-            "clf_width": self.clf_widths,
-            "C": self.C_values,
-            "sigma": self.sigma_values,
-            "noise": self.noise_values,
-        }[name]
+    def axis(self, param):
+        return getattr(self, GRID_FIELDS[param])
+
 
 
 @dataclass
@@ -148,70 +146,53 @@ def grid_search(ds, method, grid, seeds, base_params=None,
     Xtr, Ytr, _ = ds.part("train")
     Xva, _, yva = ds.part("validation")
 
-    def node_budget(params):
-        return hidden_nodes(method, params)
-
     def pick(axes, stage_base):
+        # (score, params) of the best candidate: max keeps the first of
+        # equal keys, so ties fall to fewer hidden nodes, then grid order
         candidates = expand_grid(grid, replace(method, axes=axes), stage_base)
-        scores = _validation_scores(method, candidates, Xtr, Ytr, Xva, yva, seeds[0])
-        return _pick_best(candidates, scores, node_budget)
+        scores = grouped_accuracy(method, candidates, Xtr, Ytr, Xva, yva, seeds[0])
+        return max(zip(scores, candidates),
+                   key=lambda sc: (sc[0], -hidden_nodes(method, sc[1])))
 
     if grid.search == "full" or "ae_width" not in method.axes:
         # shallow and kernel methods have a single stage either way
-        best = pick(method.axes, base)
+        score, params = pick(method.axes, base)
     else:
         # every axis but the classifier width with the classifier pinned,
         # then the classifier axes from the stage-1 winner
-        best = pick(tuple(a for a in method.axes if a != "clf_width"),
-                    dict(base, clf_width=500, C=1.0))
-        best = pick(tuple(a for a in method.axes if a in ("clf_width", "C")),
-                    best.params)
+        _, params = pick(tuple(a for a in method.axes if a != "clf_width"),
+                         dict(base, clf_width=500, C=1.0))
+        score, params = pick(tuple(a for a in method.axes if a in ("clf_width", "C")),
+                             params)
 
     # selection is complete; only now may test rows be read
     fit_roles = ("train", "validation") if retrain_with_validation else ("train",)
-    runs = [evaluate_fixed(ds, method, best.params, seed, fit_roles, ("test",))[1]
+    runs = [evaluate_fixed(ds, method, params, seed, fit_roles, ("test",))[1]
             for seed in seeds]
     return replace(
         runs[0],
-        val_accuracy=best.score,
+        val_accuracy=score,
         test_accuracy=float(np.mean([r.test_accuracy for r in runs])),
         auc=float(np.mean([r.auc for r in runs])) if ds.n_classes == 2 else None,
         train_time_ms=float(np.mean([r.train_time_ms for r in runs])),
     )
 
 
-@dataclass
-class _Candidate:
-    params: dict
-    score: float
-    nodes: int
-
-
-def _validation_scores(method, candidates, Xtr, Ytr, Xva, yva, seed):
-    """Validation accuracy of each candidate trained on the train split.
+def grouped_accuracy(method, candidates, X, Y, X_score, y_score, seed):
+    """Accuracy on (X_score, y_score) of each candidate trained on (X, Y).
 
     Candidates with one group_key are fitted together (train_group: a C
     path for shallow methods, one autoencoder stack for every classifier
     width of a deep method) and scored together (predict_group); the
-    scores are bitwise those of fitting each candidate alone.
+    accuracies are bitwise those of fitting each candidate alone.
     """
     groups = {}
     for i, params in enumerate(candidates):
         groups.setdefault(group_key(method, params), []).append(i)
     scores = [None] * len(candidates)
     for members in groups.values():
-        models = train_group(method, [candidates[i] for i in members], Xtr, Ytr, seed)
-        for i, (_, pred) in zip(members, predict_group(models, Xva)):
-            scores[i] = accuracy(yva, pred)
+        models = train_group(method, [candidates[i] for i in members], X, Y, seed)
+        for i, (_, pred) in zip(members, predict_group(models, X_score)):
+            scores[i] = accuracy(y_score, pred)
         del models  # nothing of this group stays alive while the next is built
     return scores
-
-
-def _pick_best(candidates, scores, node_fn):
-    # ties fall to fewer hidden nodes, then to earlier grid order
-    best = None
-    for params, score in zip(candidates, scores):
-        cand = _Candidate(params, score, node_fn(params))
-        if best is None or (cand.score, -cand.nodes) > (best.score, -best.nodes):
-            best = cand
-    return best

@@ -61,23 +61,16 @@ class ShallowModel:
         return concat_cols(parts)
 
 
-def _per_lam(lam, fits, make):
-    # a sequence of lams (a path) gives one model per lam
-    return [make(fit) for fit in fits] if np.ndim(lam) else make(fits)
-
-
 def rvfl_train(X, Y, width, lam, seed, activation="sigmoid", direct_links=True):
-    """Random hidden layer, then ridge on D = [H X] with lam > 0.
+    """Random hidden layer, then ridge on D = [H X] along the path lam.
 
-    A sequence of lams gives one model per lam from one layer draw, one
-    design and one Gram matrix.
+    One model per lam, from one layer draw, one design and one Gram matrix.
     """
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
     base = ShallowModel(make_random_layer(X.shape[1], width, seed, activation),
                         direct_links=direct_links)
-    betas = ridge_solve(base.design(X), Y, lam)
-    return _per_lam(lam, betas, lambda beta: replace(base, weights=beta))
+    return [replace(base, weights=beta) for beta in ridge_solve(base.design(X), Y, lam)]
 
 
 def elm_train(X, Y, width, lam, seed, activation="sigmoid"):
@@ -86,9 +79,18 @@ def elm_train(X, Y, width, lam, seed, activation="sigmoid"):
 
 
 def kelm_train(X, Y, spec, lam):
-    """Kernel variant: representer coefficients on K(X, X), inputs retained."""
-    return _per_lam(lam, fit_kernel_map(X, Y, spec, lam),
-                    lambda kernel_map: ShallowModel(kernel_map=kernel_map))
+    """Kernel variant: representer coefficients on K(X, X) along the path
+    lam, inputs retained."""
+    return [ShallowModel(kernel_map=km) for km in fit_kernel_map(X, Y, spec, lam)]
+
+
+def train_classifier(kind, X, Y, lam, width, seed, activation, kernel):
+    """The rvfl, elm or kelm readout along the path lam; kelm reads only
+    the kernel spec, the random-layer kinds everything but it."""
+    if kind == "kelm":
+        return kelm_train(X, Y, kernel, lam)
+    train = rvfl_train if kind == "rvfl" else elm_train
+    return train(X, Y, width, lam, seed, activation)
 
 
 def predict(model, X, check_input=True):

@@ -7,11 +7,12 @@ All objectives use the convention ``||A W - T||^2 + penalty`` with no
 factor of 1/2 relative to the textbook lasso.
 
 The closed-form fits (``ridge_primal``, ``ridge_dual``, ``ridge_solve``,
-``krr_fit``, ``fit_kernel_map``) take ``lam`` as one value or as a
-sequence. A sequence returns a list with one fit per value, and the
-work that does not depend on lam (the Gram or kernel matrix, the
-right-hand side) is done once; each fit is bitwise the one its lam gives
-alone.
+``krr_fit``, ``fit_kernel_map``) fit a regularization path, as glmnet
+does (Friedman et al., 2010): ``lam`` is a sequence of values and the
+result a list with one fit per value, in order; one fit is the path
+``[lam]``. The work that does not depend on lam (the Gram or kernel
+matrix, the right-hand side) is done once per path, and each fit is
+bitwise the one its lam gives alone.
 
 Every shifted system is solved by LAPACK ``posv`` (Cholesky factor and
 solve, upper triangle; Anderson et al., LAPACK Users' Guide, 1999), the
@@ -135,14 +136,6 @@ def _sym_solve(G, B):
     return np.ascontiguousarray(X)
 
 
-def _lams(lam):
-    return list(lam) if np.ndim(lam) else [lam]
-
-
-def _one_or_all(lam, fits):
-    return fits if np.ndim(lam) else fits[0]
-
-
 def _shifted_solves(G, B, lams):
     """Solve (G + lam I) X = B for each lam, reusing G.
 
@@ -163,9 +156,9 @@ def _shifted_solves(G, B, lams):
     return solutions
 
 
-def _check_lams(lam, context=""):
-    if not all(0 < value < np.inf for value in _lams(lam)):
-        raise ValueError(f"lam must be > 0 and finite{context}, got {lam}")
+def _check_lams(lams, context=""):
+    if not all(0 < value < np.inf for value in lams):
+        raise ValueError(f"lam must be > 0 and finite{context}, got {lams}")
 
 
 def _check_regression_args(D, Y, lam):
@@ -179,24 +172,22 @@ def _check_regression_args(D, Y, lam):
 
 
 def ridge_primal(D, Y, lam):
-    """Beta = (D'D + lam I)^-1 D'Y via a symmetric positive-definite solve."""
+    """Beta = (D'D + lam I)^-1 D'Y at each lam of the path, by symmetric
+    positive-definite solves."""
     _check_regression_args(D, Y, lam)
-    return _one_or_all(lam, _shifted_solves(D.T @ D, D.T @ Y, _lams(lam)))
+    return _shifted_solves(D.T @ D, D.T @ Y, lam)
 
 
 def ridge_dual(D, Y, lam):
-    """Beta = D'(DD' + lam I)^-1 Y; same solution, n-by-n system."""
+    """Beta = D'(DD' + lam I)^-1 Y at each lam of the path; same solution,
+    n-by-n system."""
     _check_regression_args(D, Y, lam)
-    return _one_or_all(lam, [D.T @ A for A in _shifted_solves(D @ D.T, Y, _lams(lam))])
+    return [D.T @ A for A in _shifted_solves(D @ D.T, Y, lam)]
 
 
 def ridge_solve(D, Y, lam):
-    """Closed-form readout: ridge with lam > 0 on whichever of the two
-    equivalent systems is smaller.
-
-    Given a sequence, this is the regularization path: every lam shares
-    one Gram matrix.
-    """
+    """Closed-form readout along the path lam, every value > 0, on whichever
+    of the two equivalent systems is smaller; every lam shares one Gram matrix."""
     solve = ridge_dual if D.shape[0] < D.shape[1] else ridge_primal
     return solve(D, Y, lam)
 
@@ -244,7 +235,8 @@ def kernel_matrix(X1, X2, spec):
 
 
 def krr_fit(K, Y, lam):
-    """Representer coefficients Alpha solving (K + lam I) Alpha = Y.
+    """Representer coefficients Alpha solving (K + lam I) Alpha = Y at each
+    lam of the path.
 
     KernelMap.apply predicts on new rows with these coefficients.
     """
@@ -256,7 +248,7 @@ def krr_fit(K, Y, lam):
     scale = max(1.0, float(np.max(np.abs(K))))
     if float(np.max(np.abs(K - K.T))) > 1e-8 * scale:
         raise ValueError("kernel matrix is not symmetric within tolerance")
-    return _one_or_all(lam, _shifted_solves(K.copy(), Y, _lams(lam)))
+    return _shifted_solves(K.copy(), Y, lam)
 
 
 @dataclass
@@ -272,14 +264,14 @@ class KernelMap:
 
 
 def fit_kernel_map(X, T, spec, lam):
-    """Kernel ridge from the rows of X to the rows of T."""
+    """Kernel ridge from the rows of X to the rows of T, one map per lam of the path."""
     _check_lams(lam, " for the kernel variant")
-    alphas = krr_fit(kernel_matrix(X, X, spec), T, _lams(lam))
+    alphas = krr_fit(kernel_matrix(X, X, spec), T, lam)
     # anchors are a copy, so applying the map to the training array never
     # hits the same-object symmetrization fast path and drifts from a
     # loaded model
     anchors = X.copy()
-    return _one_or_all(lam, [KernelMap(spec, anchors, alpha) for alpha in alphas])
+    return [KernelMap(spec, anchors, alpha) for alpha in alphas]
 
 
 def spectral_norm(H, iters=50, tol=1e-6):
@@ -329,7 +321,7 @@ def fista_lasso(H, T, cfg):
     Exhausting max_iters returns the best iterate flagged unconverged
     rather than raising.
     """
-    _check_regression_args(H, T, cfg.lam)
+    _check_regression_args(H, T, [cfg.lam])
     p, k = H.shape[1], T.shape[1]
     W = np.zeros((p, k))
     obj = lasso_objective(H, T, W, cfg.lam)
@@ -393,7 +385,7 @@ def admm_elastic_net(H, T, cfg):
     residual rho ||Z - Z_prev|| both fall under their tolerances;
     otherwise returns the last iterate flagged unconverged.
     """
-    _check_regression_args(H, T, cfg.lam)
+    _check_regression_args(H, T, [cfg.lam])
     p, k = H.shape[1], T.shape[1]
     rho = cfg.lam
     G = 2.0 * (H.T @ H)

@@ -123,8 +123,8 @@ def test_criterion_4_solver_oracle_equivalence():
             T = rng.gaussian(n, k)
             lam = (0.5, 5.0)[i % 2]
 
-            bp = ridge_primal(H, T, lam)
-            bd = ridge_dual(H, T, lam)
+            bp = ridge_primal(H, T, [lam])[0]
+            bd = ridge_dual(H, T, [lam])[0]
             assert np.linalg.norm(bp - bd) <= 1e-8 * np.linalg.norm(bp)
 
             fista = fista_lasso(H, T, L1Config(lam=lam, max_iters=10000,
@@ -136,14 +136,14 @@ def test_criterion_4_solver_oracle_equivalence():
             tight = dict(max_iters=20000, tol_primal=1e-12, tol_dual=1e-12)
             a0 = admm_elastic_net(H, T, ElasticNetConfig(lam=lam, alpha_mix=0.0,
                                                          **tight))
-            ridge_ref = ridge_primal(H, T, lam / 2.0)
+            ridge_ref = ridge_primal(H, T, [lam / 2.0])[0]
             assert (np.linalg.norm(a0.weights - ridge_ref)
                     <= 1e-8 * np.linalg.norm(ridge_ref))
             a1 = admm_elastic_net(H, T, ElasticNetConfig(lam=lam, alpha_mix=1.0,
                                                          **tight))
             assert abs(a1.objective - fista.objective) <= 1e-5
 
-            alpha = krr_fit(kernel_matrix(H, H, KernelSpec("linear")), T, lam)
+            alpha = krr_fit(kernel_matrix(H, H, KernelSpec("linear")), T, [lam])[0]
             Hs = rng.gaussian(10, p)
             pred_krr = kernel_matrix(Hs, H, KernelSpec("linear")) @ alpha
             pred_ridge = Hs @ bd
@@ -174,9 +174,9 @@ def test_criterion_5_architecture_degeneracy():
                                       zeroed.classifier.weights)
 
         # the ELM is the RVFL with its direct links ablated
-        elm = elm_train(X, Y, width=30, lam=0.1, seed=22)
-        ablated = rvfl_train(X, Y, width=30, lam=0.1, seed=22,
-                             direct_links=False)
+        elm = elm_train(X, Y, width=30, lam=[0.1], seed=22)[0]
+        ablated = rvfl_train(X, Y, width=30, lam=[0.1], seed=22,
+                             direct_links=False)[0]
         np.testing.assert_array_equal(elm.layer.W, ablated.layer.W)
         np.testing.assert_array_equal(elm.layer.b, ablated.layer.b)
         np.testing.assert_array_equal(elm.weights, ablated.weights)

@@ -94,7 +94,7 @@ def test_l2_ae_decoder_is_exactly_ridge():
     from randnet.numerics import activate
 
     Hr = activate("sigmoid", Hin @ W + b)
-    np.testing.assert_array_equal(enc.decoder, ridge_solve(Hr, Hin, lam))
+    np.testing.assert_array_equal(enc.decoder, ridge_solve(Hr, Hin, [lam])[0])
 
 
 def test_zero_intensity_corruption_bitwise_equals_none():

@@ -66,7 +66,7 @@ def test_collapse_to_shallow(blobs):
                      classifier="elm", clf_width=40, clf_lam=0.01, seed=5)
     model = deep_train(X, Y, cfg)
     H = deep_features(model, X)
-    manual = elm_train(H, Y, 40, 0.01, derive_seed(5, "classifier"))
+    manual = elm_train(H, Y, 40, [0.01], derive_seed(5, "classifier"))[0]
     _, pred_deep = deep_predict(model, X)
     _, pred_manual = shallow_predict(manual, H)
     np.testing.assert_array_equal(pred_deep, pred_manual)
@@ -150,7 +150,7 @@ def test_mlkelm_near_identity_first_layer(blobs):
     model = deep_train(X, Y, cfg)
     _, pred_deep = deep_predict(model, X)
     scaler = fit_scaling(X, "minmax")
-    krr = kelm_train(scaler.apply(X), Y, KernelSpec("rbf", sigma=2.0), 0.1)
+    krr = kelm_train(scaler.apply(X), Y, KernelSpec("rbf", sigma=2.0), [0.1])[0]
     _, pred_krr = shallow_predict(krr, scaler.apply(X))
     assert np.mean(pred_deep == pred_krr) >= 0.99
 

@@ -33,7 +33,7 @@ def blobs():
 
 def test_shallow_roundtrip_bit_identical_predictions(blobs, tmp_path):
     X, Y = blobs
-    model = rvfl_train(X, Y, width=30, lam=0.1, seed=3)
+    model = rvfl_train(X, Y, width=30, lam=[0.1], seed=3)[0]
     p = tmp_path / "m.rnm"
     save_model(model, p)
     loaded = load_model(p)
@@ -45,7 +45,7 @@ def test_shallow_roundtrip_bit_identical_predictions(blobs, tmp_path):
 
 def test_kelm_roundtrip(blobs, tmp_path):
     X, Y = blobs
-    model = kelm_train(X, Y, KernelSpec("rbf", sigma=1.3), 0.2)
+    model = kelm_train(X, Y, KernelSpec("rbf", sigma=1.3), [0.2])[0]
     p = tmp_path / "m.rnm"
     save_model(model, p)
     loaded = load_model(p)
@@ -85,8 +85,8 @@ def test_kernel_stack_roundtrip(blobs, tmp_path):
 def test_save_is_byte_deterministic(blobs, tmp_path):
     X, Y = blobs
     a, b = tmp_path / "a.rnm", tmp_path / "b.rnm"
-    save_model(rvfl_train(X, Y, width=10, lam=0.1, seed=1), a)
-    save_model(rvfl_train(X, Y, width=10, lam=0.1, seed=1), b)
+    save_model(rvfl_train(X, Y, width=10, lam=[0.1], seed=1)[0], a)
+    save_model(rvfl_train(X, Y, width=10, lam=[0.1], seed=1)[0], b)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -98,7 +98,7 @@ def test_reject_garbage_file(tmp_path):
 
 
 def _case_elm(X, Y):
-    return elm_train(X, Y, width=25, lam=0.1, seed=2)
+    return elm_train(X, Y, width=25, lam=[0.1], seed=2)[0]
 
 
 def _case_kelm_classifier_denoise(X, Y):
@@ -162,9 +162,9 @@ def small_models(draw):
     width = draw(st.integers(1, 12))
     if draw(st.booleans()):
         if classifier == "kelm":
-            return kelm_train(X, Y, RBF, 0.1), X
-        return rvfl_train(X, Y, width, draw(st.sampled_from([1e-6, 0.1])), seed,
-                          direct_links=classifier == "rvfl"), X
+            return kelm_train(X, Y, RBF, [0.1])[0], X
+        return rvfl_train(X, Y, width, [draw(st.sampled_from([1e-6, 0.1]))], seed,
+                          direct_links=classifier == "rvfl")[0], X
     layers = [AutoencoderSpec(width=draw(st.integers(1, 8)),
                               reg=DECODERS[draw(st.sampled_from(sorted(DECODERS)))],
                               corruption=CORRUPTIONS[draw(st.sampled_from(sorted(CORRUPTIONS)))])
@@ -256,7 +256,7 @@ def _rename_type(header):
 def test_defective_file_fails_loudly(blobs, tmp_path, edit, message):
     X, Y = blobs
     p = tmp_path / "m.rnm"
-    save_model(rvfl_train(X, Y, width=10, lam=0.1, seed=1), p)
+    save_model(rvfl_train(X, Y, width=10, lam=[0.1], seed=1)[0], p)
     _rewrite(p, **edit)
     with pytest.raises(ValueError) as err:
         load_model(p)

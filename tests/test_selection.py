@@ -283,13 +283,13 @@ def test_grid_search_equals_per_candidate_loop(path_ds, name):
 def test_grouped_validation_scores_equal_per_candidate(path_ds, name):
     # the candidates of every (width or sigma) group, scored along its C
     # path; a kernel-stack candidate is a group of its own
-    from randnet.selection import _validation_scores
+    from randnet.selection import grouped_accuracy
 
     method = get_method(name)
     candidates = expand_grid(PATH_GRID, method)
     Xtr, Ytr, _ = path_ds.part("train")
     Xva, _, yva = path_ds.part("validation")
-    assert _validation_scores(method, candidates, Xtr, Ytr, Xva, yva, 3) == \
+    assert grouped_accuracy(method, candidates, Xtr, Ytr, Xva, yva, 3) == \
         validation_scores_per_candidate(path_ds, method, candidates, 3)
 
 
@@ -343,13 +343,13 @@ def test_deep_group_scores_equal_per_candidate_bitwise(deep_ds, name):
 
 @pytest.mark.parametrize("name", DEEP_METHODS)
 def test_deep_grouped_validation_scores_equal_per_candidate(deep_ds, name):
-    from randnet.selection import _validation_scores
+    from randnet.selection import grouped_accuracy
 
     method = get_method(name)
     candidates = expand_grid(deep_grid(), method, DEEP_BASE)
     Xtr, Ytr, _ = deep_ds.part("train")
     Xva, _, yva = deep_ds.part("validation")
-    assert _validation_scores(method, candidates, Xtr, Ytr, Xva, yva, 3) == \
+    assert grouped_accuracy(method, candidates, Xtr, Ytr, Xva, yva, 3) == \
         validation_scores_per_candidate(deep_ds, method, candidates, 3)
 
 

@@ -41,59 +41,59 @@ def random_problem(seed, n, p, k=3):
 def test_ridge_primal_identity_design():
     D = np.eye(2)
     Y = np.array([[1.0], [2.0]])
-    beta = ridge_primal(D, Y, 1.0)
+    beta = ridge_primal(D, Y, [1.0])[0]
     np.testing.assert_allclose(beta, np.array([[0.5], [1.0]]))
 
 
 def test_ridge_rejects_nonpositive_lambda():
     D, Y = random_problem(0, 10, 3)
     with pytest.raises(ValueError):
-        ridge_primal(D, Y, 0.0)
+        ridge_primal(D, Y, [0.0])
     with pytest.raises(ValueError):
-        ridge_dual(D, Y, -1.0)
+        ridge_dual(D, Y, [-1.0])
 
 
 def test_ridge_rejects_nonfinite():
     D, Y = random_problem(0, 10, 3)
     D[0, 0] = np.nan
     with pytest.raises(NumericError):
-        ridge_primal(D, Y, 1.0)
+        ridge_primal(D, Y, [1.0])
 
 
 def test_primal_dual_agree():
     for seed in range(5):
         D, Y = random_problem(seed, 50, 10)
-        bp = ridge_primal(D, Y, 0.1)
-        bd = ridge_dual(D, Y, 0.1)
+        bp = ridge_primal(D, Y, [0.1])[0]
+        bd = ridge_dual(D, Y, [0.1])[0]
         assert np.linalg.norm(bp - bd) <= 1e-8 * max(1.0, np.linalg.norm(bp))
 
 
 def test_ridge_dual_single_sample():
     D = np.array([[1.0, 2.0, 2.0]])
     Y = np.array([[3.0]])
-    beta = ridge_dual(D, Y, 1.0)
+    beta = ridge_dual(D, Y, [1.0])[0]
     expected = D.T * 3.0 / (9.0 + 1.0)
     np.testing.assert_allclose(beta, expected)
 
 
 def test_ridge_auto_dispatch_matches_both():
     D, Y = random_problem(3, 20, 40)  # n < p, auto picks dual
-    auto = ridge_solve(D, Y, 0.5)
-    np.testing.assert_array_equal(auto, ridge_dual(D, Y, 0.5))
+    auto = ridge_solve(D, Y, [0.5])[0]
+    np.testing.assert_array_equal(auto, ridge_dual(D, Y, [0.5])[0])
     D2, Y2 = random_problem(4, 40, 20)
-    auto2 = ridge_solve(D2, Y2, 0.5)
-    np.testing.assert_array_equal(auto2, ridge_primal(D2, Y2, 0.5))
+    auto2 = ridge_solve(D2, Y2, [0.5])[0]
+    np.testing.assert_array_equal(auto2, ridge_primal(D2, Y2, [0.5])[0])
 
 
 def test_zero_lam_is_rejected():
     # lam = 0 is the pseudoinverse, which only pinv_solve computes
     D, Y = random_problem(6, 20, 40)
     with pytest.raises(ValueError, match="lam must be > 0"):
-        ridge_solve(D, Y, 0.0)
+        ridge_solve(D, Y, [0.0])
     with pytest.raises(ValueError, match="lam must be > 0"):
         RidgeConfig(lam=0.0)
     with pytest.raises(ValueError, match="lam must be > 0"):
-        rvfl_train(D, Y, width=5, lam=0.0, seed=0)
+        rvfl_train(D, Y, width=5, lam=[0.0], seed=0)
 
 
 # ----------------------------------------------------------- pseudoinverse
@@ -113,7 +113,7 @@ def test_pinv_zero_design_gives_zero():
 def test_pinv_matches_tiny_ridge():
     D, Y = random_problem(5, 50, 10)
     b_pinv = pinv_solve(D, Y)
-    b_ridge = ridge_primal(D, Y, 1e-12)
+    b_ridge = ridge_primal(D, Y, [1e-12])[0]
     assert np.linalg.norm(b_pinv - b_ridge) <= 1e-6 * np.linalg.norm(b_pinv)
 
 
@@ -160,7 +160,7 @@ def test_kernel_dimension_mismatch():
 
 def test_krr_identity_kernel():
     Y = RngState(12).gaussian(5, 2)
-    alpha = krr_fit(np.eye(5), Y, 1.0)
+    alpha = krr_fit(np.eye(5), Y, [1.0])[0]
     np.testing.assert_allclose(alpha, Y / 2.0)
 
 
@@ -168,9 +168,9 @@ def test_krr_linear_matches_dual_ridge():
     D, Y = random_problem(13, 25, 6)
     Dstar = RngState(14).gaussian(10, 6)
     lam = 0.3
-    alpha = krr_fit(kernel_matrix(D, D, KernelSpec("linear")), Y, lam)
+    alpha = krr_fit(kernel_matrix(D, D, KernelSpec("linear")), Y, [lam])[0]
     pred_krr = kernel_matrix(Dstar, D, KernelSpec("linear")) @ alpha
-    pred_ridge = Dstar @ ridge_dual(D, Y, lam)
+    pred_ridge = Dstar @ ridge_dual(D, Y, [lam])[0]
     assert np.linalg.norm(pred_krr - pred_ridge) <= 1e-8 * np.linalg.norm(pred_ridge)
 
 
@@ -178,7 +178,7 @@ def test_krr_huge_lambda_shrinks():
     Y = RngState(15).gaussian(8, 2)
     X = RngState(16).gaussian(8, 3)
     K = kernel_matrix(X, X, KernelSpec("rbf", sigma=1.0))
-    alpha = krr_fit(K, Y, 1e9)
+    alpha = krr_fit(K, Y, [1e9])[0]
     np.testing.assert_allclose(alpha, Y / 1e9, rtol=1e-6)
     assert np.linalg.norm(K @ alpha) < 1e-6
 
@@ -186,7 +186,7 @@ def test_krr_huge_lambda_shrinks():
 def test_krr_rejects_asymmetric():
     K = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(ValueError):
-        krr_fit(K, np.ones((2, 1)), 1.0)
+        krr_fit(K, np.ones((2, 1)), [1.0])
 
 
 def test_spectral_norm_matches_svd():
@@ -256,7 +256,7 @@ def test_admm_pure_l2_matches_ridge():
     H, T = random_problem(25, 30, 8, k=2)
     lam = 0.8
     admm = admm_elastic_net(H, T, ElasticNetConfig(lam=lam, alpha_mix=0.0))
-    ridge = ridge_primal(H, T, lam / 2.0)
+    ridge = ridge_primal(H, T, [lam / 2.0])[0]
     assert np.linalg.norm(admm.weights - ridge) <= 1e-8 * np.linalg.norm(ridge)
 
 
@@ -332,7 +332,7 @@ def test_ridge_path_is_bitwise_per_lam(n, p):
     path = ridge_solve(D, Y, list(PATH_LAMS))
     assert len(path) == len(PATH_LAMS)
     for lam, beta in zip(PATH_LAMS, path):
-        assert beta.tobytes() == ridge_solve(D, Y, lam).tobytes()
+        assert beta.tobytes() == ridge_solve(D, Y, [lam])[0].tobytes()
         assert beta.tobytes() == ridge_one_lam(D, Y, lam).tobytes()
 
 
@@ -341,7 +341,7 @@ def test_ridge_systems_take_a_lam_sequence(solve):
     D, Y = random_problem(8, 7, 9)
     lams = [1e-7, 10.0, 1e-7]
     for lam, beta in zip(lams, solve(D, Y, lams)):
-        assert beta.tobytes() == solve(D, Y, lam).tobytes()
+        assert beta.tobytes() == solve(D, Y, [lam])[0].tobytes()
     with pytest.raises(ValueError, match="lam must be > 0"):
         solve(D, Y, [1.0, 0.0])
 
@@ -354,7 +354,7 @@ def test_krr_path_is_bitwise_per_lam():
     for lam, alpha in zip(lams, krr_fit(K, Y, lams)):
         fresh = scipy.linalg.solve(K + lam * np.eye(12), Y, assume_a="pos")
         assert alpha.tobytes() == fresh.tobytes()
-        assert alpha.tobytes() == krr_fit(K, Y, lam).tobytes()
+        assert alpha.tobytes() == krr_fit(K, Y, [lam])[0].tobytes()
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -369,7 +369,7 @@ def test_ridge_primal_dual_path_agree(n, p, k, seed, lams):
     # system ridge_solve picks bit for bit
     D, Y = random_problem(seed, n, p, k)
     for lam, beta in zip(lams, ridge_solve(D, Y, lams)):
-        bp, bd = ridge_primal(D, Y, lam), ridge_dual(D, Y, lam)
+        bp, bd = ridge_primal(D, Y, [lam])[0], ridge_dual(D, Y, [lam])[0]
         assert beta.tobytes() == (bd if n < p else bp).tobytes()
         np.testing.assert_allclose(bd, bp, rtol=0,
                                    atol=1e-9 * max(1.0, float(np.max(np.abs(bp)))))
@@ -379,9 +379,9 @@ def test_cholesky_fallback_is_logged(caplog):
     K = np.array([[0.0, 2.0], [2.0, 0.0]])  # symmetric, indefinite once shifted
     Y = np.array([[1.0], [0.0]])
     with caplog.at_level(logging.WARNING, logger="randnet.solvers"):
-        krr_fit(np.eye(2), Y, 0.5)
+        krr_fit(np.eye(2), Y, [0.5])
         assert not caplog.records
-        alpha = krr_fit(K, Y, 0.5)
+        (alpha,) = krr_fit(K, Y, [0.5])
     np.testing.assert_allclose((K + 0.5 * np.eye(2)) @ alpha, Y, atol=1e-12)
     (record,) = caplog.records
     assert record.levelno == logging.WARNING
@@ -409,14 +409,14 @@ def test_shifted_solves_are_bitwise_scipy_pos_solve(n, p, k):
     for fit, oracle in cases:
         for lam, from_path in zip(ORACLE_LAMS, fit(ORACLE_LAMS)):
             expected = oracle(lam)
-            for beta in (fit(lam), from_path):
+            for beta in (fit([lam])[0], from_path):
                 assert beta.flags["C_CONTIGUOUS"]
                 assert beta.tobytes() == expected.tobytes()
 
 
 def test_ill_conditioned_solve_warns():
     with pytest.warns(scipy.linalg.LinAlgWarning, match="ill-conditioned"):
-        krr_fit(np.diag([1.0, 1e-18]), np.ones((2, 1)), 1e-18)
+        krr_fit(np.diag([1.0, 1e-18]), np.ones((2, 1)), [1e-18])
 
 
 def test_gram_overflow_is_rejected():
@@ -425,13 +425,13 @@ def test_gram_overflow_is_rejected():
     D[0, 0] = 1e200
     for solve in (ridge_primal, ridge_dual):
         with pytest.raises(ValueError, match="NaN or Inf"), np.errstate(over="ignore"):
-            solve(D, Y, 1.0)
+            solve(D, Y, [1.0])
     # NaN off the diagonal passes the symmetry check and the shifted
     # diagonal, so only the scan of the whole matrix sees it
     K = np.eye(3)
     K[0, 1] = K[1, 0] = np.nan
     with pytest.raises(ValueError, match="Gram matrix contains NaN or Inf"):
-        krr_fit(K, np.ones((3, 1)), 1.0)
+        krr_fit(K, np.ones((3, 1)), [1.0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -443,7 +443,7 @@ def test_nonfinite_lam_is_rejected(bad):
     for fit in (ridge_primal, ridge_dual, ridge_solve,
                 lambda D, Y, lam: krr_fit(D @ D.T, Y, lam),
                 lambda D, Y, lam: fit_kernel_map(D, Y, KernelSpec(), lam)):
-        for lam in (bad, [1.0, bad]):
+        for lam in ([bad], [1.0, bad]):
             with pytest.raises(ValueError, match="lam must be > 0 and finite"):
                 fit(D, Y, lam)
     # a config whose lam went bad after it was built
