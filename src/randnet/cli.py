@@ -58,6 +58,8 @@ def main(argv=None):
     try:
         if args.command == "train":
             cfg = load_config(args.config)
+            if args.seed is not None and args.seed < 0:
+                raise ConfigError(f"--seed must be at least 0, got {args.seed}")
             model_path, res = run_train(cfg, args.dataset, args.method,
                                         args.out, seed=args.seed)
             print(f"model: {model_path}")

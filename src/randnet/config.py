@@ -5,6 +5,7 @@ are rejected. Errors carry the offending key path and, where the YAML
 node is known, its line number.
 """
 
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -92,6 +93,20 @@ _DATASET_KEYS = {"name", "manifest", "synthetic"}
 _SYNTH_KEYS = {"blobs": {"kind", "n_train", "n_val", "n_test", "gap", "seed"},
                "arcs": {"kind", "n_train", "n_val", "n_test", "noise", "seed"}}
 _METHOD_KEYS = {"name", "params", "grid"}
+
+
+def _integer(low):
+    # (test, description) of the integers >= low; a bool is no integer
+    return lambda v: type(v) is int and v >= low, f"an integer >= {low}"
+
+
+def _real(v):
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+_SYNTH_RULES = {"seed": _integer(0), "n_train": _integer(1), "n_val": _integer(0),
+                "n_test": _integer(0), "gap": (_real, "a finite number"),
+                "noise": (lambda v: _real(v) and v >= 0, "a finite number >= 0")}
 _GRID_KEYS = {f.name for f in fields(GridSpec)}
 
 
@@ -114,6 +129,11 @@ def _fmt_path(path):
 def _require(cond, message, lines, path):
     if not cond:
         raise ConfigError(message, _fmt_path(path), lines.get(path))
+
+
+def _check(rule, name, value, lines, path):
+    test, wanted = rule
+    _require(test(value), f"{name} must be {wanted}, got {value!r}", lines, path)
 
 
 def load_config(path):
@@ -154,6 +174,9 @@ def load_config(path):
                      f"synthetic kind must be blobs or arcs, got {kind!r}",
                      lines, sp)
             _reject_unknown(entry["synthetic"], _SYNTH_KEYS[kind], lines, sp)
+            for key, value in entry["synthetic"].items():
+                if key in _SYNTH_RULES:
+                    _check(_SYNTH_RULES[key], f"synthetic {key}", value, lines, sp + (key,))
         datasets.append(DatasetDecl(name, entry.get("manifest"),
                                     entry.get("synthetic")))
 
@@ -197,9 +220,10 @@ def load_config(path):
         methods.append(decl)
 
     seeds = doc.get("seeds", [0, 1, 2, 3, 4])
-    _require(isinstance(seeds, list) and seeds
-             and all(isinstance(s, int) for s in seeds),
-             "seeds must be a non-empty list of integers", lines, ("seeds",))
+    _require(isinstance(seeds, list) and seeds, "seeds must be a non-empty list",
+             lines, ("seeds",))
+    for i, seed in enumerate(seeds):
+        _check(_integer(0), "seed", seed, lines, ("seeds", i))
 
     parallelism = doc.get("parallelism", 1)
     _require(isinstance(parallelism, int) and parallelism >= 1,

@@ -233,13 +233,27 @@ def _read_index_file(path, n):
     return np.asarray(idx, dtype=np.int64)
 
 
+_FILE_NAME = ("a file name", lambda v: isinstance(v, str))
+_BOOL = ("true or false", lambda v: type(v) is bool)
 # (key, default, what it must be, check) for each key of a manifest's csv entry
 _CSV_SCHEMA = (
-    ("path", None, "a file name", lambda v: isinstance(v, str)),
+    ("path", None, *_FILE_NAME),
     ("label_col", -1, "an integer", lambda v: type(v) is int),
-    ("header", False, "true or false", lambda v: type(v) is bool),
+    ("header", False, *_BOOL),
     ("delimiter", ",", "one character", lambda v: isinstance(v, str) and len(v) == 1),
 )
+
+
+def _checked(path, prefix, mapping, schema):
+    """mapping's values of the schema keys, defaults filled in; a value
+    of the wrong kind raises DataFormatError naming its key."""
+    values = {}
+    for key, default, what, valid in schema:
+        value = mapping.get(key, default)
+        if not valid(value):
+            raise DataFormatError(f"{path}: {prefix}{key} must be {what}, got {value!r}")
+        values[key] = value
+    return values
 
 
 def load_manifest(path):
@@ -258,20 +272,16 @@ def load_manifest(path):
     if not isinstance(csv_spec, dict):
         raise DataFormatError(f"{path}: manifest needs a csv mapping with a path")
     _reject_unknown(path, "csv keys", csv_spec, [key for key, *_ in _CSV_SCHEMA])
-    schema = {}
-    for key, default, what, valid in _CSV_SCHEMA:
-        value = csv_spec.get(key, default)
-        if not valid(value):
-            raise DataFormatError(f"{path}: csv.{key} must be {what}, got {value!r}")
-        schema[key] = value
+    schema = _checked(path, "csv.", csv_spec, _CSV_SCHEMA)
     base = path.parent
     ds = load_csv(base / schema.pop("path"), **schema, name=doc.get("name", path.stem))
     parts = doc.get("partitions")
     if not isinstance(parts, dict):
         raise DataFormatError(f"{path}: manifest needs a partitions mapping")
     _reject_unknown(path, "partition roles", parts, PARTITION_ROLES)
-    files = {role: base / p for role, p in parts.items()}
-    return load_partition_indices(ds, files, disjoint=doc.get("disjoint", True))
+    files = _checked(path, "partitions.", parts, [(role, None, *_FILE_NAME) for role in parts])
+    disjoint = _checked(path, "", doc, [("disjoint", True, *_BOOL)])["disjoint"]
+    return load_partition_indices(ds, {role: base / f for role, f in files.items()}, disjoint)
 
 
 def _reject_unknown(path, what, mapping, allowed):

@@ -42,19 +42,13 @@ SWEEP_AXES = {"L": "layers", "N": "ae_width", "C": "C", "nu": "noise"}
 def materialize_dataset(decl, cfg):
     """Load or generate one dataset and apply train-fitted scaling."""
     if decl.synthetic is not None:
+        # the config admits only the generator's own keys; seed defaults to 0
         spec = dict(decl.synthetic)
-        kind = spec.pop("kind")
         spec.setdefault("seed", 0)
-        if kind == "blobs":
-            ds = separable_blobs(
-                n=spec.get("n_train", 200), n_val=spec.get("n_val", 0),
-                n_test=spec.get("n_test", 0), gap=spec.get("gap", 4.0),
-                seed=spec["seed"], name=decl.name)
+        if spec.pop("kind") == "blobs":
+            ds = separable_blobs(n=spec.pop("n_train", 200), **spec, name=decl.name)
         else:
-            ds = interleaved_arcs(
-                n_train=spec.get("n_train", 400), n_val=spec.get("n_val", 200),
-                n_test=spec.get("n_test", 200), noise=spec.get("noise", 0.15),
-                seed=spec["seed"], name=decl.name)
+            ds = interleaved_arcs(**spec, name=decl.name)
     else:
         ds = load_manifest(cfg.base_dir / decl.manifest)
         ds.name = decl.name

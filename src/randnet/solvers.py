@@ -198,12 +198,7 @@ def pinv_solve(D, Y):
     Singular values below max(n, p) * eps relative to the largest are
     treated as zero, so rank deficiency never raises.
     """
-    if D.ndim != 2 or Y.ndim != 2:
-        raise ShapeError("design and target must both be 2-D")
-    if D.shape[0] != Y.shape[0]:
-        raise ShapeError(f"design has {D.shape[0]} rows but target has {Y.shape[0]}")
-    check_finite("design matrix", D)
-    check_finite("target matrix", Y)
+    _check_regression_args(D, Y, lam=())  # no ridge shift to check
     rcond = max(D.shape) * np.finfo(np.float64).eps
     beta, _, _, _ = np.linalg.lstsq(D, Y, rcond=rcond)
     return beta

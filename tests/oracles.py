@@ -163,3 +163,32 @@ def grid_search_per_candidate(ds, method, grid, seeds, base_params=None,
     mean_auc = float(np.mean([r.auc for r in runs])) if ds.n_classes == 2 else None
     return (runs[0].params, score,
             float(np.mean([r.test_accuracy for r in runs])), mean_auc)
+
+
+def sweep_per_point(cfg, dataset_name, method_name, axes):
+    """The text of run_sweep's CSV with every point trained and scored
+    alone through evaluate_fixed: L takes 1, 2, 3, and N, C and nu the
+    grid's ae_widths, C_values and noise_values, first axis outermost."""
+    import csv
+    import io
+    import itertools
+
+    from randnet.harness import materialize_dataset
+    from randnet.methods import get_method
+    from randnet.selection import evaluate_fixed
+
+    decl = next(d for d in cfg.datasets if d.name == dataset_name)
+    mdecl = next(m for m in cfg.methods if m.name == method_name)
+    ds = materialize_dataset(decl, cfg)
+    grid = cfg.grid_for(mdecl)
+    values = {"L": ("layers", (1, 2, 3)), "N": ("ae_width", grid.ae_widths),
+              "C": ("C", grid.C_values), "nu": ("noise", grid.noise_values)}
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(list(axes) + ["accuracy"])
+    for point in itertools.product(*(values[a][1] for a in axes)):
+        params = dict(mdecl.params, **{values[a][0]: v for a, v in zip(axes, point)})
+        _, res = evaluate_fixed(ds, get_method(method_name), params, cfg.seeds[0],
+                                score_roles=("test",))
+        writer.writerow([repr(v) for v in point] + [repr(res.test_accuracy)])
+    return out.getvalue()

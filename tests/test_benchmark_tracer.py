@@ -4,7 +4,9 @@ A renamed or deleted public function makes ``Tracer().install()``
 raise, so this check runs it the way the benchmark does: in a fresh
 interpreter with ``src`` on the path. The traced deep_grid workload
 needs its heavy layers (``deep.deep_train``, ``autoencoders.rand_ae_train``)
-recorded under grid search, which a second check runs the same way.
+recorded under grid search, which a second check runs the same way. A
+third runs every benchmark workload, shrunken, under the tracer and
+requires each of its heavy layers to record a call.
 """
 
 import json
@@ -12,6 +14,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -74,3 +78,68 @@ def test_traced_deep_grid_trains_each_stack_once(tmp_path):
     keys = seen["candidate_ae_keys"]
     assert len(keys) == 8
     assert len(set(keys)) == len(keys)
+
+
+# One benchmark workload, shrunken, under the tracer: its run config at
+# 60 training rows with small widths, run through cli.main as the
+# benchmark child runs it (train_serve: train, then load_model and
+# predict_method), then check_heavy on the workload's heavy spans. The
+# shallow widths 30 and 90 lie below and above 60 rows, so both
+# ridge_primal and ridge_dual run. argv: workload name, scratch dir.
+WORKLOAD_TRACE = """
+import sys
+from pathlib import Path
+sys.path.insert(0, 'benchmarks')
+import yaml
+from tracer import Tracer, check_heavy, read_spans
+from workloads import WORKLOADS
+tracer = Tracer()
+tracer.install()
+from randnet import methods, model_io
+from randnet.cli import main
+from randnet.synthetic import interleaved_arcs
+
+name, work = sys.argv[1], Path(sys.argv[2])
+workload = WORKLOADS[name]
+cfg = workload['config'](0)
+for ds in cfg['datasets']:
+    ds['synthetic'].update(n_train=60, n_val=30, n_test=30)
+for m in cfg['methods']:
+    params, grid = m.setdefault('params', {}), m.setdefault('grid', {})
+    for key, value in (('ae_width', 5), ('clf_width', 30), ('solver_iters', 10)):
+        if key in params:
+            params[key] = value
+    for key, value in (('ae_widths', [5, 8]), ('clf_widths', [30, 90])):
+        if key in grid:
+            grid[key] = value
+    grid.setdefault('C_values', [1.0, 100.0])
+config = work / 'run.yaml'
+config.write_text(yaml.safe_dump(cfg))
+out = work / 'out'
+tracer.recording = True
+for command in workload['bench']:
+    args = ['--results', str(out / 'results.csv')] if command == 'stats' else ['--config', str(config)]
+    assert main([command, *args, '--out', str(out)]) == 0, command
+if workload['serve']:
+    method = workload['serve'][0]
+    assert main(['train', '--config', str(config), '--dataset', 'arcs', '--method', method,
+                 '--out', str(out)]) == 0
+    model = model_io.load_model(next(out.glob('*.rnm')))
+    methods.predict_method(model, interleaved_arcs(n_train=16, n_val=0, n_test=0).X)
+tracer.recording = False
+tracer.dump(work / 'trace.jsonl')
+spans = read_spans(work / 'trace.jsonl')
+check_heavy(spans, workload['heavy'])
+print(len(spans))
+"""
+
+
+@pytest.mark.parametrize("workload", ["shallow_grid", "deep_grid", "train_serve"])
+def test_shrunken_workload_records_every_heavy_span(tmp_path, workload):
+    # a refactor that stops calling a traced heavy layer fails the traced
+    # benchmark run with CoverageError; this finds it in a few seconds
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run([sys.executable, "-c", WORKLOAD_TRACE, workload, str(tmp_path)],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.splitlines()[-1]) > 0  # spans recorded

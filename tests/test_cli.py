@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,8 @@ from randnet.harness import (
     run_train,
 )
 from randnet.numerics import blas_thread_counts, blas_threads
+
+from oracles import sweep_per_point
 
 CONFIG = """\
 output_dir: out
@@ -150,6 +153,42 @@ def test_config_validates_param_values_at_load(tmp_path, params, message):
     assert not (out / "results.csv").exists()
 
 
+@pytest.mark.parametrize("seeds, synthetic, message, where", [
+    ("[-1]", "kind: arcs", "seed must be an integer >= 0, got -1", "seeds[0] (line 1)"),
+    ("[0, true]", "kind: arcs", "seed must be an integer >= 0, got True",
+     "seeds[1] (line 1)"),
+    ("[0]", "kind: arcs, seed: -1", "synthetic seed must be an integer >= 0, got -1",
+     "datasets[0].synthetic.seed (line 3)"),
+    ("[0]", "kind: arcs, noise: -1", "synthetic noise must be a finite number >= 0, got -1",
+     "datasets[0].synthetic.noise (line 3)"),
+    ("[0]", "kind: arcs, noise: .nan",
+     "synthetic noise must be a finite number >= 0, got nan",
+     "datasets[0].synthetic.noise (line 3)"),
+    ("[0]", "kind: arcs, n_train: 0", "synthetic n_train must be an integer >= 1, got 0",
+     "datasets[0].synthetic.n_train (line 3)"),
+    ("[0]", "kind: arcs, n_val: -1", "synthetic n_val must be an integer >= 0, got -1",
+     "datasets[0].synthetic.n_val (line 3)"),
+    ("[0]", "kind: blobs, n_test: 2.5",
+     "synthetic n_test must be an integer >= 0, got 2.5",
+     "datasets[0].synthetic.n_test (line 3)"),
+    ("[0]", "kind: blobs, gap: .inf", "synthetic gap must be a finite number, got inf",
+     "datasets[0].synthetic.gap (line 3)"),
+], ids=["negative_seed", "bool_seed", "synthetic_seed", "noise", "nan_noise", "n_train",
+        "n_val", "n_test", "gap"])
+def test_config_validates_seeds_and_synthetic_values_at_load(tmp_path, seeds, synthetic,
+                                                             message, where):
+    # each used to load, then fail every cell (bench exited 0) or the run (exit 1)
+    p = tmp_path / "bad.yaml"
+    p.write_text(f"seeds: {seeds}\ndatasets:\n  - {{name: a, synthetic: {{{synthetic}}}}}\n"
+                 "methods:\n  - name: rvfl\n")
+    with pytest.raises(ConfigError, match=re.escape(message)) as err:
+        load_config(p)
+    assert f"at {where}" in str(err.value)
+    out = tmp_path / "bench"
+    assert main(["bench", "--config", str(p), "--out", str(out)]) == 2
+    assert not (out / "results.csv").exists()
+
+
 def test_config_rejects_bad_yaml(tmp_path):
     p = tmp_path / "bad.yaml"
     p.write_text("datasets: [unclosed\n")
@@ -187,6 +226,20 @@ def test_bench_rejects_dataset_without_validation_partition(tmp_path, capsys):
     assert "dataset 'toy' lacks partition roles ['validation']" in capsys.readouterr().err
     assert not (out / "results.csv").exists()
     assert not (out / "bench_manifest.json").exists()
+
+
+@pytest.mark.parametrize("partitions, message", [
+    ("{train: 5, validation: valid.txt, test: test.txt}",
+     "partitions.train must be a file name, got 5"),
+    ("{train: train.txt, validation: valid.txt, test: test.txt}\ndisjoint: 'no'",
+     "disjoint must be true or false, got 'no'"),
+], ids=["partition_file_number", "disjoint_string"])
+def test_bench_rejects_badly_typed_manifest_value(tmp_path, capsys, partitions, message):
+    # the number failed the run with exit code 1; the string counted as true
+    code, out = bench_toy_manifest(tmp_path, partitions)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
@@ -229,6 +282,15 @@ def test_cli_train_exit_codes(config_path, tmp_path):
     bad = main(["train", "--config", str(config_path), "--dataset", "blobs",
                 "--method", "perceptron", "--out", str(tmp_path / "o")])
     assert bad == 2
+
+
+def test_cli_train_rejects_negative_seed(config_path, tmp_path, capsys):
+    # it used to fail in the random stream with exit code 1
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(config_path), "--dataset", "blobs",
+                 "--method", "rvfl", "--out", str(out), "--seed", "-1"]) == 2
+    assert "--seed must be at least 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------- bench
@@ -567,6 +629,43 @@ def test_sweep_row_counts(config_path, tmp_path):
     rows = read_results_csv(path)
     assert len(rows) == 2 * 1
     assert all(r["accuracy"] != "" for r in rows)
+
+
+SWEEP_CONFIG = """\
+seeds: [4]
+datasets:
+  - name: arcs
+    synthetic: {kind: arcs, n_train: 80, n_val: 20, n_test: 60, noise: 0.2, seed: 5}
+  - name: blobs
+    synthetic: {kind: blobs, n_train: 200, n_val: 20, n_test: 60, gap: 1.0, seed: 6}
+methods:
+  - name: rvfl
+    params: {clf_width: 120}
+    grid: {C_values: [0.01, 1.0, 100.0, 1.0e+6, 1.0]}
+  - name: deep_rvfl_dense_denoise_l1
+    params: {layers: 2, clf_width: 40, solver_iters: 20}
+    grid: {ae_widths: [4, 8], C_values: [1.0, 100.0], noise_values: [0.1, 0.3]}
+  - name: ml_kelm
+    params: {sigma: 1.0}
+    grid: {C_values: [1.0, 100.0]}
+"""
+
+
+@pytest.mark.parametrize("dataset, method, axes", [
+    ("arcs", "rvfl", ("C",)),
+    ("blobs", "rvfl", ("C",)),
+    ("arcs", "deep_rvfl_dense_denoise_l1", ("N", "C", "nu")),
+    ("arcs", "ml_kelm", ("L", "C")),
+], ids=["rvfl_dual", "rvfl_primal", "deep_denoise_l1", "ml_kelm"])
+def test_sweep_equals_per_point_oracle(tmp_path, dataset, method, axes):
+    # the sweep fits the points of a group together (a C path on 80 rows
+    # at 122 design columns, the dual system, or on 200 rows, the primal);
+    # its file must be byte for byte that of training every point alone
+    p = tmp_path / "sweep.yaml"
+    p.write_text(SWEEP_CONFIG)
+    cfg = load_config(p)
+    path = run_sweep(cfg, dataset, method, axes, tmp_path / "sweep")
+    assert path.read_bytes() == sweep_per_point(cfg, dataset, method, axes).encode()
 
 
 def test_sweep_rejects_unknown_axis(config_path, tmp_path):

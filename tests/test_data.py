@@ -223,6 +223,21 @@ def test_manifest_checks_csv_value_types(tmp_path, csv_spec, message):
         load_manifest(man)
 
 
+@pytest.mark.parametrize("extra, message", [
+    ("partitions: {train: 5}\n", "partitions.train must be a file name, got 5"),
+    ("partitions: {train: train.txt}\ndisjoint: 'no'\n",
+     "disjoint must be true or false, got 'no'"),
+], ids=["partition_file_number", "disjoint_string"])
+def test_manifest_checks_partition_and_disjoint_types(tmp_path, extra, message):
+    # unchecked, a number reached Path / int (a TypeError) and any
+    # non-empty string counted as disjoint: true
+    write(tmp_path, "d.csv", "1,2,0\n3,4,1\n5,6,0\n7,8,1\n")
+    write(tmp_path, "train.txt", "0\n1\n")
+    man = write(tmp_path, "ds.yaml", "csv: {path: d.csv}\n" + extra)
+    with pytest.raises(DataFormatError, match=message):
+        load_manifest(man)
+
+
 def test_blobs_deterministic_and_separable_shape():
     a = separable_blobs(n=50, n_test=20, seed=3)
     b = separable_blobs(n=50, n_test=20, seed=3)

@@ -155,6 +155,13 @@ def test_grid_search_tie_prefers_fewer_nodes(blobs_split):
     res = grid_search(blobs_split, get_method("rvfl"), g, seeds=[0])
     assert res.val_accuracy == 1.0
     assert res.params["clf_width"] == 100
+    # equal score and equal hidden nodes: the earlier grid point wins,
+    # whichever C it has
+    for Cs in ((1e4, 1e3), (1e3, 1e4)):
+        res = grid_search(blobs_split, get_method("rvfl"),
+                          small_grid(clf_widths=(100,), C_values=Cs), seeds=[0])
+        assert res.val_accuracy == 1.0
+        assert res.params == {"C": Cs[0], "clf_width": 100}
 
 
 def test_grid_search_reports_auc_for_binary(blobs_split):
