@@ -93,6 +93,7 @@ _DATASET_KEYS = {"name", "manifest", "synthetic"}
 _SYNTH_KEYS = {"blobs": {"kind", "n_train", "n_val", "n_test", "gap", "seed"},
                "arcs": {"kind", "n_train", "n_val", "n_test", "noise", "seed"}}
 _METHOD_KEYS = {"name", "params", "grid"}
+_GRID_KEYS = {f.name for f in fields(GridSpec)}
 
 
 def _integer(low):
@@ -104,10 +105,10 @@ def _real(v):
     return type(v) in (int, float) and math.isfinite(v)
 
 
+# (test, description) of each synthetic value
 _SYNTH_RULES = {"seed": _integer(0), "n_train": _integer(1), "n_val": _integer(0),
                 "n_test": _integer(0), "gap": (_real, "a finite number"),
                 "noise": (lambda v: _real(v) and v >= 0, "a finite number >= 0")}
-_GRID_KEYS = {f.name for f in fields(GridSpec)}
 
 
 def _reject_unknown(mapping, allowed, lines, path):

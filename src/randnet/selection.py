@@ -54,7 +54,6 @@ class GridSpec:
         return getattr(self, GRID_FIELDS[param])
 
 
-
 @dataclass
 class EvalResult:
     dataset: str
