@@ -1,17 +1,19 @@
 """Run configuration: schema-validated YAML documents.
 
-The whole document is validated before any work starts; unknown keys
-are rejected. Errors carry the offending key path and, where the YAML
-node is known, its line number.
+The whole document is validated before any work starts. Each mapping's
+keys and values are declared in one rule table below and checked by
+``data.checked``, which also checks the dataset manifest and rejects
+unknown keys in both. Errors carry the offending key path and, where
+the YAML node is known, its line number.
 """
 
-import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import yaml
 
-from .methods import DEFAULT_PARAMS, METHODS, check_param
+from .data import BOOL, FILE_NAME, MAPPING, STRING, checked, integer, is_finite, one_of
+from .methods import METHODS, check_param
 from .selection import GridSpec
 
 
@@ -73,8 +75,8 @@ class MethodDecl:
 class RunConfig:
     datasets: list
     methods: list
-    seeds: list
-    output_dir: str
+    seeds: list = field(default_factory=lambda: [0, 1, 2, 3, 4])
+    output_dir: str = "out"
     parallelism: int = 1
     scaling: str = "minmax"
     retrain_with_validation: bool = False
@@ -86,38 +88,25 @@ class RunConfig:
                            for key, value in decl.grid.items()})
 
 
-_TOP_KEYS = {"datasets", "methods", "seeds", "output_dir", "parallelism",
-             "scaling", "retrain_with_validation"}
-_DATASET_KEYS = {"name", "manifest", "synthetic"}
+_LIST = (lambda v: isinstance(v, list) and len(v) > 0, "a non-empty list")
+_SEED = integer(0)
+
+_TOP_RULES = {"datasets": _LIST, "methods": _LIST, "seeds": _LIST,
+              "output_dir": (lambda v: isinstance(v, str), "a directory name"),
+              "parallelism": integer(1), "scaling": one_of("minmax", "zscore", "none"),
+              "retrain_with_validation": BOOL}
+_DATASET_RULES = {"name": STRING, "manifest": FILE_NAME, "synthetic": MAPPING}
+_KIND = {"kind": one_of("blobs", "arcs")}
 # each kind takes only the keys its generator reads
-_SYNTH_KEYS = {"blobs": {"kind", "n_train", "n_val", "n_test", "gap", "seed"},
-               "arcs": {"kind", "n_train", "n_val", "n_test", "noise", "seed"}}
-_METHOD_KEYS = {"name", "params", "grid"}
-_GRID_KEYS = {f.name for f in fields(GridSpec)}
-
-
-def _integer(low):
-    # (test, description) of the integers >= low; a bool is no integer
-    return lambda v: type(v) is int and v >= low, f"an integer >= {low}"
-
-
-def _real(v):
-    return type(v) in (int, float) and math.isfinite(v)
-
-
-# (test, description) of each synthetic value
-_SYNTH_RULES = {"seed": _integer(0), "n_train": _integer(1), "n_val": _integer(0),
-                "n_test": _integer(0), "gap": (_real, "a finite number"),
-                "noise": (lambda v: _real(v) and v >= 0, "a finite number >= 0")}
-
-
-def _reject_unknown(mapping, allowed, lines, path):
-    for key in mapping:
-        if key not in allowed:
-            raise ConfigError(
-                f"unknown key {key!r}; expected one of {sorted(allowed)}",
-                _fmt_path(path + (key,)), lines.get(path + (key,)),
-            )
+_SYNTH_SHARED = {**_KIND, "seed": _SEED, "n_train": integer(1),
+                 "n_val": integer(0), "n_test": integer(0)}
+_SYNTH_RULES = {"blobs": {**_SYNTH_SHARED, "gap": (is_finite, "a finite number")},
+                "arcs": {**_SYNTH_SHARED, "noise": (lambda v: is_finite(v) and v >= 0,
+                                                    "a finite number >= 0")}}
+_METHOD_RULES = {"name": one_of(*sorted(METHODS)), "params": MAPPING, "grid": MAPPING}
+# GridSpec checks the axis values and the search policy
+_GRID_RULES = {f.name: (lambda v: isinstance(v, list), "a list") for f in fields(GridSpec)}
+_GRID_RULES["search"] = STRING
 
 
 def _fmt_path(path):
@@ -127,14 +116,25 @@ def _fmt_path(path):
     return out
 
 
-def _require(cond, message, lines, path):
-    if not cond:
-        raise ConfigError(message, _fmt_path(path), lines.get(path))
+def _fail_at(lines, path):
+    """fail for the walker: a ConfigError at the key's path and line (the
+    mapping's line for a missing key)."""
+    return lambda message, key: ConfigError(
+        message, _fmt_path(path + (key,)), lines.get(path + (key,), lines.get(path)))
 
 
-def _check(rule, name, value, lines, path):
-    test, wanted = rule
-    _require(test(value), f"{name} must be {wanted}, got {value!r}", lines, path)
+def _entries(doc, key, rules, lines):
+    """(path, entry) of each mapping in the list doc[key], entry checked."""
+    seen = set()
+    for i, entry in enumerate(doc[key]):
+        p = (key, i)
+        if not isinstance(entry, dict):
+            raise _fail_at(lines, (key,))(f"{key[:-1]} entry must be a mapping", i)
+        checked(entry, rules, _fail_at(lines, p), required=("name",))
+        if entry["name"] in seen:
+            raise _fail_at(lines, p)(f"duplicate {key[:-1]} name {entry['name']!r}", "name")
+        seen.add(entry["name"])
+        yield p, entry
 
 
 def load_config(path):
@@ -145,107 +145,38 @@ def load_config(path):
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     doc, lines = load_yaml_with_lines(text)
-    _require(isinstance(doc, dict), "config must be a mapping", lines, ())
-    _reject_unknown(doc, _TOP_KEYS, lines, ())
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a mapping", line=lines.get(()))
+    checked(doc, _TOP_RULES, _fail_at(lines, ()), required=("datasets", "methods"))
 
-    _require("datasets" in doc, "config needs a datasets list", lines, ())
-    _require(isinstance(doc["datasets"], list) and doc["datasets"],
-             "datasets must be a non-empty list", lines, ("datasets",))
     datasets = []
-    seen = set()
-    for i, entry in enumerate(doc["datasets"]):
-        p = ("datasets", i)
-        _require(isinstance(entry, dict), "dataset entry must be a mapping", lines, p)
-        _reject_unknown(entry, _DATASET_KEYS, lines, p)
-        _require("name" in entry, "dataset entry needs a name", lines, p)
-        name = entry["name"]
-        _require(name not in seen, f"duplicate dataset name {name!r}", lines, p)
-        seen.add(name)
-        has_manifest = "manifest" in entry
-        has_synth = "synthetic" in entry
-        _require(has_manifest != has_synth,
-                 "dataset entry needs exactly one of manifest or synthetic",
-                 lines, p)
-        if has_synth:
-            sp = p + ("synthetic",)
-            _require(isinstance(entry["synthetic"], dict),
-                     "synthetic must be a mapping", lines, sp)
-            kind = entry["synthetic"].get("kind")
-            _require(kind in ("blobs", "arcs"),
-                     f"synthetic kind must be blobs or arcs, got {kind!r}",
-                     lines, sp)
-            _reject_unknown(entry["synthetic"], _SYNTH_KEYS[kind], lines, sp)
-            for key, value in entry["synthetic"].items():
-                if key in _SYNTH_RULES:
-                    _check(_SYNTH_RULES[key], f"synthetic {key}", value, lines, sp + (key,))
-        datasets.append(DatasetDecl(name, entry.get("manifest"),
-                                    entry.get("synthetic")))
+    for p, entry in _entries(doc, "datasets", _DATASET_RULES, lines):
+        if ("manifest" in entry) == ("synthetic" in entry):
+            raise ConfigError("dataset entry needs exactly one of manifest or synthetic",
+                              _fmt_path(p), lines.get(p))
+        if "synthetic" in entry:
+            synth, fail = entry["synthetic"], _fail_at(lines, p + ("synthetic",))
+            checked({"kind": synth.get("kind")}, _KIND, fail, subject="synthetic ")
+            checked(synth, _SYNTH_RULES[synth["kind"]], fail, subject="synthetic ")
+        datasets.append(DatasetDecl(**entry))
 
-    _require("methods" in doc, "config needs a methods list", lines, ())
-    _require(isinstance(doc["methods"], list) and doc["methods"],
-             "methods must be a non-empty list", lines, ("methods",))
     methods = []
-    seen = set()
-    for i, entry in enumerate(doc["methods"]):
-        p = ("methods", i)
-        _require(isinstance(entry, dict), "method entry must be a mapping", lines, p)
-        _reject_unknown(entry, _METHOD_KEYS, lines, p)
-        _require("name" in entry, "method entry needs a name", lines, p)
-        name = entry["name"]
-        _require(name in METHODS,
-                 f"unknown method {name!r}; known: {', '.join(sorted(METHODS))}",
-                 lines, p + ("name",))
-        _require(name not in seen, f"duplicate method {name!r}", lines, p)
-        seen.add(name)
-        params = entry.get("params", {})
-        _require(isinstance(params, dict), "params must be a mapping", lines,
-                 p + ("params",))
-        for key, value in params.items():
-            _require(key in DEFAULT_PARAMS, f"unknown param {key!r}", lines,
-                     p + ("params", key))
+    for p, entry in _entries(doc, "methods", _METHOD_RULES, lines):
+        for key, value in entry.get("params", {}).items():
             try:
                 check_param(key, value)
             except ValueError as exc:
-                raise ConfigError(str(exc), _fmt_path(p + ("params", key)),
-                                  lines.get(p + ("params", key))) from exc
-        grid = entry.get("grid", {})
-        _require(isinstance(grid, dict), "grid must be a mapping", lines,
-                 p + ("grid",))
-        _reject_unknown(grid, _GRID_KEYS, lines, p + ("grid",))
-        decl = MethodDecl(name, params, grid)
+                raise _fail_at(lines, p + ("params",))(str(exc), key) from exc
+        checked(entry.get("grid", {}), _GRID_RULES, _fail_at(lines, p + ("grid",)))
+        decl = MethodDecl(**entry)
         try:
             RunConfig.grid_for(decl)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid grid: {exc}", _fmt_path(p + ("grid",)),
-                              lines.get(p + ("grid",))) from exc
+        except ValueError as exc:
+            raise _fail_at(lines, p)(f"invalid grid: {exc}", "grid") from exc
         methods.append(decl)
 
-    seeds = doc.get("seeds", [0, 1, 2, 3, 4])
-    _require(isinstance(seeds, list) and seeds, "seeds must be a non-empty list",
-             lines, ("seeds",))
-    for i, seed in enumerate(seeds):
-        _check(_integer(0), "seed", seed, lines, ("seeds", i))
-
-    parallelism = doc.get("parallelism", 1)
-    _require(isinstance(parallelism, int) and parallelism >= 1,
-             "parallelism must be an integer >= 1", lines, ("parallelism",))
-
-    scaling = doc.get("scaling", "minmax")
-    _require(scaling in ("minmax", "zscore", "none"),
-             f"scaling must be minmax, zscore, or none, got {scaling!r}",
-             lines, ("scaling",))
-
-    retrain = doc.get("retrain_with_validation", False)
-    _require(isinstance(retrain, bool), "retrain_with_validation must be a bool",
-             lines, ("retrain_with_validation",))
-
-    return RunConfig(
-        datasets=datasets,
-        methods=methods,
-        seeds=seeds,
-        output_dir=doc.get("output_dir", "out"),
-        parallelism=parallelism,
-        scaling=scaling,
-        retrain_with_validation=retrain,
-        base_dir=path.parent,
-    )
+    fail = _fail_at(lines, ("seeds",))
+    for i, seed in enumerate(doc.get("seeds", ())):
+        checked({"seed": seed}, {"seed": _SEED}, lambda message, _: fail(message, i))
+    rest = {key: value for key, value in doc.items() if key not in ("datasets", "methods")}
+    return RunConfig(datasets, methods, **rest, base_dir=path.parent)

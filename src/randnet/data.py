@@ -7,9 +7,14 @@ External formats (see README for byte-level examples):
 * partition index files: plain text, one zero-based row index per line;
 * dataset manifest: a YAML document binding a name to the CSV, its
   parsing schema, and the partition files.
+
+The rules of every YAML mapping randnet reads, the manifest's here and
+the run config's in config.py, are tables checked by one walker,
+``checked``, at the end of this module.
 """
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -233,29 +238,6 @@ def _read_index_file(path, n):
     return np.asarray(idx, dtype=np.int64)
 
 
-_FILE_NAME = ("a file name", lambda v: isinstance(v, str))
-_BOOL = ("true or false", lambda v: type(v) is bool)
-# (key, default, what it must be, check) for each key of a manifest's csv entry
-_CSV_SCHEMA = (
-    ("path", None, *_FILE_NAME),
-    ("label_col", -1, "an integer", lambda v: type(v) is int),
-    ("header", False, *_BOOL),
-    ("delimiter", ",", "one character", lambda v: isinstance(v, str) and len(v) == 1),
-)
-
-
-def _checked(path, prefix, mapping, schema):
-    """mapping's values of the schema keys, defaults filled in; a value
-    of the wrong kind raises DataFormatError naming its key."""
-    values = {}
-    for key, default, what, valid in schema:
-        value = mapping.get(key, default)
-        if not valid(value):
-            raise DataFormatError(f"{path}: {prefix}{key} must be {what}, got {value!r}")
-        values[key] = value
-    return values
-
-
 def load_manifest(path):
     """Load a dataset manifest: CSV schema plus partition file bindings."""
     path = Path(path)
@@ -267,24 +249,63 @@ def load_manifest(path):
         raise DataFormatError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: manifest must be a mapping")
-    _reject_unknown(path, "manifest keys", doc, ("name", "csv", "partitions", "disjoint"))
-    csv_spec = doc.get("csv")
-    if not isinstance(csv_spec, dict):
-        raise DataFormatError(f"{path}: manifest needs a csv mapping with a path")
-    _reject_unknown(path, "csv keys", csv_spec, [key for key, *_ in _CSV_SCHEMA])
-    schema = _checked(path, "csv.", csv_spec, _CSV_SCHEMA)
+
+    def fail(message, key):
+        return DataFormatError(f"{path}: {message}")
+
+    checked(doc, _MANIFEST_RULES, fail, required=("csv", "partitions"))
+    spec = dict(checked(doc["csv"], _CSV_RULES, fail, required=("path",), subject="csv."))
+    parts = checked(doc["partitions"], _PARTITION_RULES, fail, subject="partitions.")
     base = path.parent
-    ds = load_csv(base / schema.pop("path"), **schema, name=doc.get("name", path.stem))
-    parts = doc.get("partitions")
-    if not isinstance(parts, dict):
-        raise DataFormatError(f"{path}: manifest needs a partitions mapping")
-    _reject_unknown(path, "partition roles", parts, PARTITION_ROLES)
-    files = _checked(path, "partitions.", parts, [(role, None, *_FILE_NAME) for role in parts])
-    disjoint = _checked(path, "", doc, [("disjoint", True, *_BOOL)])["disjoint"]
-    return load_partition_indices(ds, {role: base / f for role, f in files.items()}, disjoint)
+    ds = load_csv(base / spec.pop("path"), **spec, name=doc.get("name", path.stem))
+    files = {role: base / name for role, name in parts.items()}
+    return load_partition_indices(ds, files, **{k: v for k, v in doc.items() if k == "disjoint"})
 
 
-def _reject_unknown(path, what, mapping, allowed):
-    unknown = sorted(map(str, set(mapping) - set(allowed)))
-    if unknown:
-        raise DataFormatError(f"{path}: unknown {what} {unknown}; allowed: {list(allowed)}")
+# ------------------------------------------------------------ document rules
+# Each YAML mapping randnet reads (here the manifest, in config.py the run
+# config) is a table {key: (test, what it must be)}; every test is total,
+# False and never an exception on any YAML value.
+
+
+def checked(mapping, rules, fail, required=(), subject=""):
+    """mapping, once each key is one of rules and each present or required
+    value passes its rule's test; else raise fail(message, key)."""
+    for key in mapping:
+        if key not in rules:
+            raise fail(f"unknown key {key!r}; expected one of {sorted(rules)}", key)
+    for key, (test, wanted) in rules.items():
+        if (key in mapping or key in required) and not test(mapping.get(key)):
+            raise fail(f"{subject}{key} must be {wanted}, got {mapping.get(key)!r}", key)
+    return mapping
+
+
+def is_integer(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def is_finite(v):
+    return is_number(v) and math.isfinite(v)
+
+
+def integer(low):
+    return lambda v: is_integer(v) and v >= low, f"an integer >= {low}"
+
+
+def one_of(*choices):
+    return lambda v: isinstance(v, str) and v in choices, f"one of {list(choices)}"
+
+
+BOOL = (lambda v: isinstance(v, bool), "true or false")
+STRING = (lambda v: isinstance(v, str), "a string")
+FILE_NAME = (lambda v: isinstance(v, str), "a file name")
+MAPPING = (lambda v: isinstance(v, dict), "a mapping")
+
+_MANIFEST_RULES = {"name": STRING, "csv": MAPPING, "partitions": MAPPING, "disjoint": BOOL}
+_CSV_RULES = {"path": FILE_NAME, "label_col": (is_integer, "an integer"), "header": BOOL,
+              "delimiter": (lambda v: isinstance(v, str) and len(v) == 1, "one character")}
+_PARTITION_RULES = dict.fromkeys(PARTITION_ROLES, FILE_NAME)

@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .autoencoders import AutoencoderSpec, CorruptionSpec
+from .data import checked, integer, is_number, one_of
 from .deep import DeepConfig, DeepModel, deep_predict_path, deep_train, mlkelm_train
 from .numerics import ACTIVATION_NAMES
 from .shallow import predict_path as shallow_predict_path
@@ -30,16 +31,8 @@ DEFAULT_PARAMS = {
 }
 
 
-def _number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _count(v):
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
-
-
-_POSITIVE = (lambda v: _number(v) and v > 0, "a number > 0")
-_COUNT = (_count, "an integer >= 1")
+_COUNT = integer(1)
+_POSITIVE = (lambda v: is_number(v) and v > 0, "a number > 0")
 
 # (test, description) of the values each param accepts
 PARAM_RULES = {
@@ -48,9 +41,9 @@ PARAM_RULES = {
     "clf_width": _COUNT,
     "C": _POSITIVE,
     "sigma": _POSITIVE,
-    "noise": (lambda v: _number(v) and v >= 0, "a number >= 0"),
-    "alpha_mix": (lambda v: _number(v) and 0 <= v <= 1, "a number in [0, 1]"),
-    "activation": (lambda v: v in ACTIVATION_NAMES, f"one of {list(ACTIVATION_NAMES)}"),
+    "noise": (lambda v: is_number(v) and v >= 0, "a number >= 0"),
+    "alpha_mix": (lambda v: is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
+    "activation": one_of(*ACTIVATION_NAMES),
     "solver_iters": _COUNT,
     "max_train_rows": _COUNT,
 }
@@ -62,11 +55,10 @@ def check_param(key, value):
     Every number must be finite: C = inf would make lam = 1/C = 0,
     which the solvers reject only once training has begun.
     """
-    test, wanted = PARAM_RULES[key]
-    if _number(value) and not math.isfinite(value):
+    if is_number(value) and not math.isfinite(value):
         raise ValueError(f"param {key} must be finite, got {value!r}")
-    if not test(value):
-        raise ValueError(f"param {key} must be {wanted}, got {value!r}")
+    checked({key: value}, PARAM_RULES, lambda message, _: ValueError(message),
+            subject="param ")
 
 
 @dataclass(frozen=True)

@@ -215,7 +215,7 @@ def test_bench_rejects_manifest_with_unknown_role(tmp_path, capsys):
     code, out = bench_toy_manifest(
         tmp_path, "{train: train.txt, valid: valid.txt, test: test.txt}")
     assert code == 2
-    assert "unknown partition roles ['valid']" in capsys.readouterr().err
+    assert "unknown key 'valid'" in capsys.readouterr().err
     assert not (out / "results.csv").exists()
 
 
