@@ -10,6 +10,7 @@ import sys
 from .config import ConfigError, load_config
 from .data import DataFormatError
 from .harness import run_bench, run_stats, run_sweep, run_train
+from .ranking import Q_TABLE
 
 
 def build_parser():
@@ -74,6 +75,8 @@ def main(argv=None):
             results = run_bench(cfg, args.out, resume=args.resume)
             print(f"results: {results}")
         elif args.command == "stats":
+            if args.alpha not in Q_TABLE:
+                raise ConfigError(f"--alpha must be one of {sorted(Q_TABLE)}, got {args.alpha}")
             out = run_stats(args.results, args.out, alpha=args.alpha)
             stats = out["stats"]
             dof1, dof2 = stats["dof"]

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import yaml
 
-from .data import BOOL, FILE_NAME, MAPPING, STRING, checked, integer, is_finite, one_of
+from .data import (BOOL, FILE_NAME, MAPPING, STRING, checked, integer, is_finite, is_path_name,
+                   one_of)
 from .methods import METHODS, check_param
 from .selection import GridSpec
 
@@ -92,7 +93,7 @@ _LIST = (lambda v: isinstance(v, list) and len(v) > 0, "a non-empty list")
 _SEED = integer(0)
 
 _TOP_RULES = {"datasets": _LIST, "methods": _LIST, "seeds": _LIST,
-              "output_dir": (lambda v: isinstance(v, str), "a directory name"),
+              "output_dir": (is_path_name, "a directory name"),
               "parallelism": integer(1), "scaling": one_of("minmax", "zscore", "none"),
               "retrain_with_validation": BOOL}
 _DATASET_RULES = {"name": STRING, "manifest": FILE_NAME, "synthetic": MAPPING}

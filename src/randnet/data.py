@@ -259,7 +259,8 @@ def load_manifest(path):
     base = path.parent
     ds = load_csv(base / spec.pop("path"), **spec, name=doc.get("name", path.stem))
     files = {role: base / name for role, name in parts.items()}
-    return load_partition_indices(ds, files, **{k: v for k, v in doc.items() if k == "disjoint"})
+    flags = {"disjoint": doc["disjoint"]} if "disjoint" in doc else {}
+    return load_partition_indices(ds, files, **flags)
 
 
 # ------------------------------------------------------------ document rules
@@ -278,6 +279,10 @@ def checked(mapping, rules, fail, required=(), subject=""):
         if (key in mapping or key in required) and not test(mapping.get(key)):
             raise fail(f"{subject}{key} must be {wanted}, got {mapping.get(key)!r}", key)
     return mapping
+
+
+def is_path_name(v):
+    return isinstance(v, str) and "\0" not in v
 
 
 def is_integer(v):
@@ -302,7 +307,7 @@ def one_of(*choices):
 
 BOOL = (lambda v: isinstance(v, bool), "true or false")
 STRING = (lambda v: isinstance(v, str), "a string")
-FILE_NAME = (lambda v: isinstance(v, str), "a file name")
+FILE_NAME = (is_path_name, "a file name")
 MAPPING = (lambda v: isinstance(v, dict), "a mapping")
 
 _MANIFEST_RULES = {"name": STRING, "csv": MAPPING, "partitions": MAPPING, "disjoint": BOOL}

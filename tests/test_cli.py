@@ -1,3 +1,4 @@
+import copy
 import json
 import logging
 import os
@@ -8,11 +9,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import randnet.harness
 import randnet.numerics
 from randnet.cli import main
 from randnet.config import ConfigError, load_config
+from randnet.data import DataFormatError, load_manifest
 from randnet.harness import (
     TIME_COLUMNS,
     accuracy_matrix,
@@ -22,6 +27,7 @@ from randnet.harness import (
     run_sweep,
     run_train,
 )
+from randnet.methods import DEFAULT_PARAMS
 from randnet.numerics import blas_thread_counts, blas_threads
 
 from oracles import sweep_per_point
@@ -187,6 +193,101 @@ def test_config_validates_seeds_and_synthetic_values_at_load(tmp_path, seeds, sy
     out = tmp_path / "bench"
     assert main(["bench", "--config", str(p), "--out", str(out)]) == 2
     assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("text, message, where", [
+    ("parallelism: true\n", "parallelism must be an integer >= 1, got True",
+     "parallelism (line 1)"),
+    ("output_dir: 5\n", "output_dir must be a directory name, got 5", "output_dir (line 1)"),
+    ("datasets: [{name: [1], synthetic: {kind: arcs}}]\n",
+     "name must be a string, got [1]", "datasets[0].name (line 1)"),
+    ("methods: [{name: [1]}]\n", "name must be one of [", "methods[0].name (line 1)"),
+    ("datasets: [{name: a, manifest: 5}]\n", "manifest must be a file name, got 5",
+     "datasets[0].manifest (line 1)"),
+], ids=["bool_parallelism", "number_output_dir", "list_dataset_name", "list_method_name",
+        "number_manifest"])
+def test_config_validates_top_values_and_entry_names_at_load(tmp_path, text, message, where):
+    # a bool counted as an integer, the number loaded, the lists failed
+    # with "unhashable type" and the manifest number in bench (exit 1)
+    base = {"datasets": "[{name: a, synthetic: {kind: arcs}}]\n",
+            "methods": "[{name: rvfl}]\n"}
+    key = text.split(":")[0]
+    p = tmp_path / "bad.yaml"
+    p.write_text(text + "".join(f"{k}: {v}" for k, v in base.items() if k != key))
+    with pytest.raises(ConfigError, match=re.escape(message)) as err:
+        load_config(p)
+    assert f"at {where}" in str(err.value)
+    out = tmp_path / "bench"
+    assert main(["bench", "--config", str(p), "--out", str(out)]) == 2
+    assert not (out / "results.csv").exists()
+
+
+# every key path of a run config and of a manifest that holds all their keys
+RUN_DOC = {
+    "output_dir": "out", "seeds": [0, 1], "parallelism": 1, "scaling": "minmax",
+    "retrain_with_validation": False,
+    "datasets": [
+        {"name": "arcs", "synthetic": {"kind": "arcs", "n_train": 20, "n_val": 10,
+                                       "n_test": 10, "noise": 0.1, "seed": 7}},
+        {"name": "blobs", "synthetic": {"kind": "blobs", "n_train": 20, "n_val": 10,
+                                        "n_test": 10, "gap": 4.0, "seed": 3}},
+        {"name": "toy", "manifest": "toy.yaml"},
+    ],
+    "methods": [{"name": "rvfl", "params": dict(DEFAULT_PARAMS),
+                 "grid": {"ae_widths": [10], "clf_widths": [20], "C_values": [1.0],
+                          "sigma_values": [1.0], "noise_values": [0.1], "search": "full"}}],
+}
+MANIFEST_DOC = {"name": "toy", "csv": {"path": "toy.csv", "label_col": -1, "header": False,
+                                       "delimiter": ","},
+                "partitions": {"train": "train.txt", "validation": "valid.txt",
+                               "test": "test.txt"},
+                "disjoint": True}
+
+
+def key_paths(node, path=()):
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from key_paths(child, path + (key,))
+
+
+YAML_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3)
+    | st.sampled_from(["", "\0", "a\0b", ".", "-"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+@pytest.fixture(scope="module")
+def doc_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("docs")
+    (d / "toy.csv").write_text("".join(f"{i},{-i},{i % 2}\n" for i in range(12)))
+    for name, rows in (("train", range(6)), ("valid", range(6, 9)), ("test", range(9, 12))):
+        (d / f"{name}.txt").write_text("".join(f"{i}\n" for i in rows))
+    return d
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_loaders_raise_only_their_own_errors(doc_dir, data):
+    # any YAML value at any key path is loaded or refused with the
+    # loader's own error, never a TypeError from deep inside it
+    doc, loader, errors = data.draw(st.sampled_from([
+        (RUN_DOC, load_config, ConfigError), (MANIFEST_DOC, load_manifest, DataFormatError)]))
+    path = data.draw(st.sampled_from(list(key_paths(doc))))
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = data.draw(YAML_VALUES)
+    target = doc_dir / f"{loader.__name__}.yaml"
+    target.write_text(yaml.safe_dump(doc))
+    try:
+        loader(target)
+    except errors:
+        pass
 
 
 def test_config_rejects_bad_yaml(tmp_path):
@@ -684,6 +785,15 @@ def test_sweep_noise_axis_total(config_path, tmp_path):
     rows = read_results_csv(path)
     assert len(rows) == 3
     assert all(np.isfinite(float(r["accuracy"])) for r in rows)
+
+
+def test_cli_stats_rejects_unsupported_alpha(tmp_path, capsys):
+    # the Nemenyi table has two levels; another one failed the run (exit 1)
+    results = write_published_results(tmp_path / "results.csv")
+    assert main(["stats", "--results", str(results), "--out", str(tmp_path / "s"),
+                 "--alpha", "2"]) == 2
+    assert "--alpha must be one of [0.05, 0.1], got 2.0" in capsys.readouterr().err
+    assert not (tmp_path / "s" / "ranks.csv").exists()
 
 
 def test_cli_sweep_and_stats_commands(config_path, tmp_path):
