@@ -14,7 +14,7 @@ the run config's in config.py, are tables checked by one walker,
 """
 
 import csv
-import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -265,8 +265,8 @@ def load_manifest(path):
 
 # ------------------------------------------------------------ document rules
 # Each YAML mapping randnet reads (here the manifest, in config.py the run
-# config) is a table {key: (test, what it must be)}; every test is total,
-# False and never an exception on any YAML value.
+# config) is a table {key: (test, what it must be)}. Every test is total:
+# on any YAML value it returns False rather than raise.
 
 
 def checked(mapping, rules, fail, required=(), subject=""):
@@ -294,7 +294,8 @@ def is_number(v):
 
 
 def is_finite(v):
-    return is_number(v) and math.isfinite(v)
+    # an int beyond the float range is refused: math.isfinite would raise
+    return is_number(v) and abs(v) <= sys.float_info.max
 
 
 def integer(low):

@@ -6,11 +6,10 @@ The regularization weight lam is always 1/C, one shared C across
 autoencoder layers and the classifier.
 """
 
-import math
 from dataclasses import dataclass
 
 from .autoencoders import AutoencoderSpec, CorruptionSpec
-from .data import checked, integer, is_number, one_of
+from .data import checked, integer, is_finite, is_number, one_of
 from .deep import DeepConfig, DeepModel, deep_predict_path, deep_train, mlkelm_train
 from .numerics import ACTIVATION_NAMES
 from .shallow import predict_path as shallow_predict_path
@@ -55,7 +54,7 @@ def check_param(key, value):
     Every number must be finite: C = inf would make lam = 1/C = 0,
     which the solvers reject only once training has begun.
     """
-    if is_number(value) and not math.isfinite(value):
+    if is_number(value) and not is_finite(value):
         raise ValueError(f"param {key} must be finite, got {value!r}")
     checked({key: value}, PARAM_RULES, lambda message, _: ValueError(message),
             subject="param ")

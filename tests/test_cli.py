@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import randnet.harness
@@ -222,7 +222,7 @@ def test_config_validates_top_values_and_entry_names_at_load(tmp_path, text, mes
     assert not (out / "results.csv").exists()
 
 
-# every key path of a run config and of a manifest that holds all their keys
+# a run config and a manifest that each hold every key their loader accepts
 RUN_DOC = {
     "output_dir": "out", "seeds": [0, 1], "parallelism": 1, "scaling": "minmax",
     "retrain_with_validation": False,
@@ -254,7 +254,7 @@ def key_paths(node, path=()):
 
 YAML_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3)
-    | st.sampled_from(["", "\0", "a\0b", ".", "-"]),
+    | st.sampled_from(["", "\0", "a\0b", ".", "-", 10 ** 400, -10 ** 400]),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
                                                                 max_size=3),
     max_leaves=6)
@@ -269,20 +269,29 @@ def doc_dir(tmp_path_factory):
     return d
 
 
+LOADERS = {"run": (RUN_DOC, load_config, ConfigError),
+           "manifest": (MANIFEST_DOC, load_manifest, DataFormatError)}
+KEY_PATHS = [(name, path) for name, (doc, *_) in LOADERS.items() for path in key_paths(doc)]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_loaders_raise_only_their_own_errors(doc_dir, data):
+@given(where=st.sampled_from(KEY_PATHS), value=YAML_VALUES)
+# an int beyond the float range made math.isfinite raise OverflowError,
+# and a NUL in a file name made Path.read_text raise a plain ValueError
+@example(where=("run", ("datasets", 1, "synthetic", "gap")), value=10 ** 400)
+@example(where=("run", ("methods", 0, "params", "C")), value=-10 ** 400)
+@example(where=("manifest", ("csv", "path")), value="a\0b")
+def test_loaders_raise_only_their_own_errors(doc_dir, where, value):
     # any YAML value at any key path is loaded or refused with the
     # loader's own error, never a TypeError from deep inside it
-    doc, loader, errors = data.draw(st.sampled_from([
-        (RUN_DOC, load_config, ConfigError), (MANIFEST_DOC, load_manifest, DataFormatError)]))
-    path = data.draw(st.sampled_from(list(key_paths(doc))))
+    name, path = where
+    doc, loader, errors = LOADERS[name]
     doc = copy.deepcopy(doc)
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
-    parent[path[-1]] = data.draw(YAML_VALUES)
-    target = doc_dir / f"{loader.__name__}.yaml"
+    parent[path[-1]] = value
+    target = doc_dir / f"{name}.yaml"
     target.write_text(yaml.safe_dump(doc))
     try:
         loader(target)
