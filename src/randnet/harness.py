@@ -16,6 +16,7 @@ import logging
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -26,14 +27,12 @@ from .methods import get_method
 from .model_io import replace_atomically, save_model
 from .numerics import blas_threads
 from .ranking import rank_report, rank_rows, report_markdown, significance_marks
-from .selection import evaluate_fixed, grid_search, grouped_accuracy
+from .selection import EvalResult, evaluate_fixed, grid_search, grouped_accuracy
 from .synthetic import interleaved_arcs, separable_blobs
 
 log = logging.getLogger("randnet")
 
-RESULT_COLUMNS = ("dataset", "method", "params", "val_accuracy",
-                  "test_accuracy", "auc", "hidden_nodes", "train_time_ms",
-                  "error")
+RESULT_COLUMNS = tuple(f.name for f in fields(EvalResult))
 TIME_COLUMNS = ("train_time_ms",)
 
 SWEEP_AXES = {"L": "layers", "N": "ae_width", "C": "C", "nu": "noise"}
@@ -71,12 +70,17 @@ def result_row(res):
     return {col: _format_cell(getattr(res, col)) for col in RESULT_COLUMNS}
 
 
-def write_results_csv(rows, path):
+def _write_csv(path, header, rows):
+    """Write mappings over header as CSV rows; a key outside header raises,
+    a missing key writes ""."""
     with replace_atomically(path, newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=header)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
+
+
+def write_results_csv(rows, path):
+    _write_csv(path, RESULT_COLUMNS, rows)
 
 
 def read_results_csv(path):
@@ -102,10 +106,7 @@ def run_train(cfg, dataset_name, method_name, out_dir, seed=None):
     Writes the model container and appends one metrics row; the model
     file bytes depend only on (config, seed).
     """
-    decl = _find(cfg.datasets, dataset_name, "dataset")
-    mdecl = _find(cfg.methods, method_name, "method")
-    method = get_method(mdecl.name)
-    ds = materialize_dataset(decl, cfg)
+    ds, method, mdecl = _cell(cfg, dataset_name, method_name)
     seed = cfg.seeds[0] if seed is None else seed
     model, res = evaluate_fixed(ds, method, mdecl.params, seed)
     out_dir = Path(out_dir)
@@ -128,7 +129,14 @@ def _find(decls, name, what):
     raise ConfigError(f"{what} {name!r} is not declared in the config")
 
 
-def run_bench(cfg, out_dir, resume=False, _fail_after=None):
+def _cell(cfg, dataset_name, method_name):
+    """(materialized dataset, method, method declaration) of one config cell."""
+    decl = _find(cfg.datasets, dataset_name, "dataset")
+    mdecl = _find(cfg.methods, method_name, "method")
+    return materialize_dataset(decl, cfg), get_method(method_name), mdecl
+
+
+def run_bench(cfg, out_dir, resume=False):
     """Grid search over every (dataset, method) cell; resumable.
 
     Failed cells are recorded with their error string and the run
@@ -162,7 +170,6 @@ def run_bench(cfg, out_dir, resume=False, _fail_after=None):
 
     cells = [(d.name, m.name) for d in cfg.datasets for m in cfg.methods]
     lock = threading.Lock()
-    done_counter = [len(completed)]
 
     def run_cell(cell):
         ds_name, m_name = cell
@@ -183,9 +190,6 @@ def run_bench(cfg, out_dir, resume=False, _fail_after=None):
             with replace_atomically(manifest_path) as fh:
                 json.dump({"config_hash": digest, "cells": completed}, fh,
                           sort_keys=True, indent=1)
-            done_counter[0] += 1
-            if _fail_after is not None and done_counter[0] >= _fail_after:
-                raise KeyboardInterrupt("injected interruption")
         return row
 
     pending = [c for c in cells if f"{c[0]}::{c[1]}" not in completed]
@@ -206,24 +210,13 @@ def run_bench(cfg, out_dir, resume=False, _fail_after=None):
 
 def accuracy_matrix(rows):
     """(datasets, methods, M x m matrix) from results rows; missing cells raise."""
-    datasets, methods = [], []
-    for row in rows:
-        if row["dataset"] not in datasets:
-            datasets.append(row["dataset"])
-        if row["method"] not in methods:
-            methods.append(row["method"])
+    datasets = list(dict.fromkeys(row["dataset"] for row in rows))
+    methods = list(dict.fromkeys(row["method"] for row in rows))
     cell = {}
-    missing = []
     for row in rows:
-        key = (row["dataset"], row["method"])
-        if row.get("error") or row["test_accuracy"] == "":
-            missing.append(key)
-        else:
-            cell[key] = float(row["test_accuracy"])
-    for d in datasets:
-        for m in methods:
-            if (d, m) not in cell and (d, m) not in missing:
-                missing.append((d, m))
+        if not row.get("error") and row["test_accuracy"] != "":
+            cell[row["dataset"], row["method"]] = float(row["test_accuracy"])
+    missing = [(d, m) for d in datasets for m in methods if (d, m) not in cell]
     if missing:
         raise ValueError(
             "incomplete accuracy matrix; missing or failed cells: "
@@ -249,19 +242,14 @@ def run_stats(results_path, out_dir, alpha=0.05):
     out_dir.mkdir(parents=True, exist_ok=True)
 
     ranks_path = out_dir / "ranks.csv"
-    with replace_atomically(ranks_path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "mean_rank"])
-        for i in np.argsort(table.mean_ranks):
-            writer.writerow([methods[i], repr(float(table.mean_ranks[i]))])
+    _write_csv(ranks_path, ["method", "mean_rank"],
+               ({"method": methods[i], "mean_rank": repr(float(table.mean_ranks[i]))}
+                for i in np.argsort(table.mean_ranks)))
 
     sig_path = out_dir / "significance.csv"
     marks = significance_marks(report["significance"])
-    with replace_atomically(sig_path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([""] + methods)
-        for i, name in enumerate(methods):
-            writer.writerow([name] + list(marks[i]))
+    _write_csv(sig_path, [""] + methods,
+               ({"": name, **dict(zip(methods, marks[i]))} for i, name in enumerate(methods)))
 
     md_path = out_dir / "report.md"
     with replace_atomically(md_path) as fh:
@@ -282,10 +270,7 @@ def run_sweep(cfg, dataset_name, method_name, axes, out_dir):
             raise ConfigError(
                 f"unknown sweep axis {axis!r}; expected a subset of "
                 f"{sorted(SWEEP_AXES)}")
-    decl = _find(cfg.datasets, dataset_name, "dataset")
-    mdecl = _find(cfg.methods, method_name, "method")
-    method = get_method(method_name)
-    ds = materialize_dataset(decl, cfg)
+    ds, method, mdecl = _cell(cfg, dataset_name, method_name)
     grid = cfg.grid_for(mdecl)
     points = [{}]
     for axis in axes:
@@ -301,10 +286,7 @@ def run_sweep(cfg, dataset_name, method_name, axes, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sweep_path = out_dir / f"sweep_{dataset_name}__{method_name}.csv"
-    with replace_atomically(sweep_path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(axes) + ["accuracy"])
-        for point, score in zip(points, scores):
-            writer.writerow([_format_cell(point[SWEEP_AXES[a]]) for a in axes]
-                            + [repr(score)])
+    _write_csv(sweep_path, list(axes) + ["accuracy"],
+               ({**{a: _format_cell(point[SWEEP_AXES[a]]) for a in axes}, "accuracy": repr(score)}
+                for point, score in zip(points, scores)))
     return sweep_path

@@ -253,7 +253,7 @@ def _csv_without_time_columns(path):
     return "\n".join(",".join(row[c] for c in kept) for row in rows)
 
 
-def test_criterion_7_protocol_hygiene(tmp_path):
+def test_criterion_7_protocol_hygiene(tmp_path, interrupt_after):
     with budget(60.0):
         # canary: garbage in the test rows must not move selection
         from dataclasses import replace
@@ -277,8 +277,8 @@ def test_criterion_7_protocol_hygiene(tmp_path):
         cfg_path.write_text(BENCH_CONFIG)
         cfg = load_config(cfg_path)
         ref = run_bench(cfg, tmp_path / "ref")
-        with pytest.raises(KeyboardInterrupt):
-            run_bench(cfg, tmp_path / "resumed", _fail_after=2)
+        with interrupt_after(2), pytest.raises(KeyboardInterrupt):
+            run_bench(cfg, tmp_path / "resumed")
         manifest = json.loads(
             (tmp_path / "resumed" / "bench_manifest.json").read_text())
         assert len(manifest["cells"]) == 2

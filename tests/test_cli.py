@@ -417,23 +417,24 @@ def test_bench_cell_count_and_schema(config_path, tmp_path):
     assert all(r["hidden_nodes"] for r in rows)
 
 
-def test_bench_resume_equals_uninterrupted(config_path, tmp_path):
+def test_bench_resume_equals_uninterrupted(config_path, tmp_path, interrupt_after):
     cfg = load_config(config_path)
     ref = run_bench(cfg, tmp_path / "ref")
-    with pytest.raises(KeyboardInterrupt):
-        run_bench(cfg, tmp_path / "int", _fail_after=2)
+    with interrupt_after(2), pytest.raises(KeyboardInterrupt):
+        run_bench(cfg, tmp_path / "int")
     manifest = json.loads((tmp_path / "int" / "bench_manifest.json").read_text())
     assert len(manifest["cells"]) == 2
     resumed = run_bench(cfg, tmp_path / "int", resume=True)
     assert strip_time(read_results_csv(ref)) == strip_time(read_results_csv(resumed))
 
 
-def test_torn_manifest_write_keeps_previous_manifest(config_path, tmp_path, monkeypatch):
+def test_torn_manifest_write_keeps_previous_manifest(config_path, tmp_path, monkeypatch,
+                                                      interrupt_after):
     cfg = load_config(config_path)
     ref = run_bench(cfg, tmp_path / "ref")
     out = tmp_path / "int"
-    with pytest.raises(KeyboardInterrupt):
-        run_bench(cfg, out, _fail_after=2)
+    with interrupt_after(2), pytest.raises(KeyboardInterrupt):
+        run_bench(cfg, out)
     manifest_path = out / "bench_manifest.json"
     before = manifest_path.read_bytes()
 
@@ -453,10 +454,10 @@ def test_torn_manifest_write_keeps_previous_manifest(config_path, tmp_path, monk
     assert strip_time(read_results_csv(ref)) == strip_time(read_results_csv(resumed))
 
 
-def test_bench_resume_rejects_config_change(config_path, tmp_path):
+def test_bench_resume_rejects_config_change(config_path, tmp_path, interrupt_after):
     cfg = load_config(config_path)
-    with pytest.raises(KeyboardInterrupt):
-        run_bench(cfg, tmp_path / "int", _fail_after=1)
+    with interrupt_after(1), pytest.raises(KeyboardInterrupt):
+        run_bench(cfg, tmp_path / "int")
     cfg.seeds = [5]
     with pytest.raises(ConfigError, match="different config"):
         run_bench(cfg, tmp_path / "int", resume=True)
@@ -504,7 +505,7 @@ def test_bench_parallel_pinned_matches_serial_dense_deep(tmp_path):
 
 
 def test_bench_pins_blas_threads_in_cells_and_restores(config_path, tmp_path,
-                                                       monkeypatch):
+                                                       monkeypatch, interrupt_after):
     inside = []
     grid_search = randnet.harness.grid_search
 
@@ -521,8 +522,8 @@ def test_bench_pins_blas_threads_in_cells_and_restores(config_path, tmp_path,
         assert before and set(before.values()) == {3}
         run_bench(cfg, tmp_path / "ok")
         assert blas_thread_counts() == before
-        with pytest.raises(KeyboardInterrupt):
-            run_bench(cfg, tmp_path / "int", _fail_after=2)
+        with interrupt_after(2), pytest.raises(KeyboardInterrupt):
+            run_bench(cfg, tmp_path / "int")
         assert blas_thread_counts() == before
     pinned = max(1, os.cpu_count() // 2)
     assert len(inside) >= 6
