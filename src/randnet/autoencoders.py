@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import is_finite, is_integer
 from .numerics import ShapeError, activate
 from .shallow import make_random_layer
 from .solvers import (
@@ -38,8 +39,8 @@ class CorruptionSpec:
     def __post_init__(self):
         if self.kind not in ("none", "gaussian"):
             raise ValueError(f"unknown corruption kind {self.kind!r}")
-        if self.sigma < 0:
-            raise ValueError(f"gaussian sigma must be >= 0, got {self.sigma}")
+        if not (is_finite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"gaussian sigma must be >= 0 and finite, got {self.sigma}")
 
 
 @dataclass
@@ -65,8 +66,8 @@ class AutoencoderSpec:
     corruption: CorruptionSpec = field(default_factory=CorruptionSpec)
 
     def __post_init__(self):
-        if self.width < 1:
-            raise ValueError(f"width must be >= 1, got {self.width}")
+        if not (is_integer(self.width) and self.width >= 1):
+            raise ValueError(f"width must be an integer >= 1, got {self.width}")
 
 
 @dataclass

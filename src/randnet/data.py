@@ -139,6 +139,10 @@ class ScalingStats:
     center: np.ndarray
     spread: np.ndarray
 
+    def __post_init__(self):
+        if self.method not in ("minmax", "zscore"):
+            raise ValueError(f"unknown scaling method {self.method!r}")
+
     def apply(self, M):
         if M.shape[1] != self.center.shape[0]:
             raise ShapeError(
@@ -161,12 +165,10 @@ class ScalingStats:
 
 
 def fit_scaling(M, method="minmax"):
-    if method == "minmax":
-        mins = M.min(axis=0)
-        return ScalingStats("minmax", mins, M.max(axis=0) - mins)
     if method == "zscore":
         return ScalingStats("zscore", M.mean(axis=0), M.std(axis=0))
-    raise ValueError(f"unknown scaling method {method!r}")
+    mins = M.min(axis=0)
+    return ScalingStats(method, mins, M.max(axis=0) - mins)  # checks method
 
 
 def fit_apply_scaling(ds, method="minmax", partition="train"):

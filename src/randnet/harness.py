@@ -209,13 +209,17 @@ def run_bench(cfg, out_dir, resume=False):
 
 
 def accuracy_matrix(rows):
-    """(datasets, methods, M x m matrix) from results rows; missing cells raise."""
+    """(datasets, methods, M x m matrix) from results rows; missing or repeated cells raise."""
     datasets = list(dict.fromkeys(row["dataset"] for row in rows))
     methods = list(dict.fromkeys(row["method"] for row in rows))
-    cell = {}
+    seen, cell = set(), {}
     for row in rows:
+        key = (row["dataset"], row["method"])
+        if key in seen:
+            raise ValueError(f"results hold more than one row for {key[0]}/{key[1]}")
+        seen.add(key)
         if not row.get("error") and row["test_accuracy"] != "":
-            cell[row["dataset"], row["method"]] = float(row["test_accuracy"])
+            cell[key] = float(row["test_accuracy"])
     missing = [(d, m) for d in datasets for m in methods if (d, m) not in cell]
     if missing:
         raise ValueError(

@@ -32,6 +32,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 
+from .data import is_finite, is_integer, is_number
 from .numerics import ShapeError, check_finite
 
 log = logging.getLogger(__name__)
@@ -44,7 +45,7 @@ class RidgeConfig:
     lam: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.lam < np.inf:
+        if not (is_finite(self.lam) and self.lam > 0):
             raise ValueError(f"ridge lam must be > 0 and finite, got {self.lam}")
 
 
@@ -55,11 +56,11 @@ class L1Config:
     tol: float = 1e-10  # relative objective change
 
     def __post_init__(self):
-        if not 0 < self.lam < np.inf:
+        if not (is_finite(self.lam) and self.lam > 0):
             raise ValueError(f"l1 lam must be > 0 and finite, got {self.lam}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not 0 < self.tol < np.inf:
+        if not (is_integer(self.max_iters) and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters}")
+        if not (is_finite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be > 0 and finite, got {self.tol}")
 
 
@@ -72,15 +73,15 @@ class ElasticNetConfig:
     tol_dual: float = 1e-10
 
     def __post_init__(self):
-        if not 0 < self.lam < np.inf:
+        if not (is_finite(self.lam) and self.lam > 0):
             raise ValueError(f"elastic-net lam must be > 0 and finite, got {self.lam}")
-        if not 0.0 <= self.alpha_mix <= 1.0:
+        if not (is_number(self.alpha_mix) and 0 <= self.alpha_mix <= 1):
             raise ValueError(f"alpha_mix must be in [0, 1], got {self.alpha_mix}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not (is_integer(self.max_iters) and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters}")
         for name in ("tol_primal", "tol_dual"):
             tol = getattr(self, name)
-            if not 0 < tol < np.inf:
+            if not (is_finite(tol) and tol > 0):
                 raise ValueError(f"{name} must be > 0 and finite, got {tol}")
 
 
@@ -92,8 +93,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("rbf", "linear"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "rbf" and self.sigma <= 0:
-            raise ValueError(f"rbf sigma must be > 0, got {self.sigma}")
+        if not (is_finite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"kernel sigma must be > 0 and finite, got {self.sigma}")
 
 
 @dataclass

@@ -26,6 +26,7 @@ from randnet.harness import (
     run_stats,
     run_sweep,
     run_train,
+    write_results_csv,
 )
 from randnet.methods import DEFAULT_PARAMS
 from randnet.numerics import blas_thread_counts, blas_threads
@@ -417,6 +418,29 @@ def test_bench_cell_count_and_schema(config_path, tmp_path):
     assert all(r["hidden_nodes"] for r in rows)
 
 
+RESULTS_HEADER = (b"dataset,method,params,val_accuracy,test_accuracy,auc,hidden_nodes,"
+                  b"train_time_ms,error\r\n")
+
+
+def test_results_csv_bytes_round_trip(tmp_path):
+    row = {"dataset": "arcs", "method": "rvfl",
+           "params": json.dumps({"C": 0.1, "activation": "sigmoid"}, sort_keys=True),
+           "val_accuracy": "0.5", "test_accuracy": "0.75", "auc": "", "hidden_nodes": "100",
+           "train_time_ms": "1.5", "error": "bad, very\nbad"}
+    path = tmp_path / "results.csv"
+    write_results_csv([row], path)
+    assert path.read_bytes() == RESULTS_HEADER + (
+        b'arcs,rvfl,"{""C"": 0.1, ""activation"": ""sigmoid""}",0.5,0.75,,100,1.5,'
+        b'"bad, very\nbad"\r\n')
+    assert read_results_csv(path) == [row]
+    # csv.DictWriter rules: a foreign key raises, a missing key writes ""
+    with pytest.raises(ValueError, match="not in fieldnames"):
+        write_results_csv([dict(row, extra="x")], path)
+    assert read_results_csv(path) == [row]
+    write_results_csv([{"dataset": "arcs", "method": "rvfl"}], path)
+    assert path.read_bytes() == RESULTS_HEADER + b"arcs,rvfl,,,,,,,\r\n"
+
+
 def test_bench_resume_equals_uninterrupted(config_path, tmp_path, interrupt_after):
     cfg = load_config(config_path)
     ref = run_bench(cfg, tmp_path / "ref")
@@ -599,6 +623,19 @@ def test_stats_missing_cell_listed(tmp_path):
         {"dataset": "b", "method": "x", "test_accuracy": "0.7", "error": ""},
     ]
     with pytest.raises(ValueError, match="b/y"):
+        accuracy_matrix(rows)
+
+
+@pytest.mark.parametrize("second", ["0.6", ""], ids=["scored", "failed"])
+def test_stats_repeated_cell_rejected(second):
+    # a hand-merged results file must not be ranked on whichever row came last
+    rows = [
+        {"dataset": d, "method": m, "test_accuracy": "0.9", "error": ""}
+        for d in ("a", "b") for m in ("x", "y")
+    ]
+    rows.append({"dataset": "a", "method": "y", "test_accuracy": second,
+                 "error": "" if second else "boom"})
+    with pytest.raises(ValueError, match="more than one row for a/y"):
         accuracy_matrix(rows)
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import tempfile
 from dataclasses import fields, is_dataclass
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randnet.autoencoders import AutoencoderSpec, CorruptionSpec, KernelDecoder
+from randnet.data import ScalingStats
 from randnet.deep import (
     CONNECTIVITIES,
     DeepConfig,
@@ -262,6 +264,45 @@ def test_defective_file_fails_loudly(blobs, tmp_path, edit, message):
         load_model(p)
     assert str(p) in str(err.value)
     assert message in str(err.value)
+
+
+# every spec a model header rebuilds refuses what its trainer never writes
+@pytest.mark.parametrize("make, message", [
+    (lambda: KernelSpec("rbf", sigma=np.inf), "sigma must be > 0 and finite"),
+    (lambda: KernelSpec("rbf", sigma=np.nan), "sigma must be > 0 and finite"),
+    (lambda: KernelSpec("rbf", sigma=True), "sigma must be > 0 and finite"),
+    (lambda: CorruptionSpec("gaussian", sigma=np.nan), "sigma must be >= 0 and finite"),
+    (lambda: CorruptionSpec("gaussian", sigma=np.inf), "sigma must be >= 0 and finite"),
+    (lambda: RidgeConfig(lam=True), "lam must be > 0 and finite"),
+    (lambda: L1Config(max_iters=2.5), "max_iters must be an integer >= 1"),
+    (lambda: ElasticNetConfig(max_iters=True), "max_iters must be an integer >= 1"),
+    (lambda: ElasticNetConfig(alpha_mix=True), "alpha_mix must be in [0, 1]"),
+    (lambda: AutoencoderSpec(width=2.5), "width must be an integer >= 1"),
+    (lambda: ScalingStats("bogus", np.zeros(2), np.ones(2)), "unknown scaling method 'bogus'"),
+], ids=["kernel_sigma_inf", "kernel_sigma_nan", "kernel_sigma_bool", "corruption_sigma_nan",
+        "corruption_sigma_inf", "ridge_lam_bool", "l1_iters_float", "elastic_iters_bool",
+        "elastic_mix_bool", "ae_width_float", "scaling_method"])
+def test_spec_rejects_invalid_field(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
+
+
+def test_spec_accepts_numpy_floats():
+    lam = np.float64(0.5)
+    assert RidgeConfig(lam=lam).lam == L1Config(lam=lam).lam == lam
+    assert KernelSpec("rbf", sigma=lam).sigma == CorruptionSpec("gaussian", lam).sigma
+
+
+@pytest.mark.parametrize("sigma", [float("inf"), True], ids=["inf", "bool"])
+def test_tampered_spec_value_fails_load(blobs, tmp_path, sigma):
+    # an infinite bandwidth would load and then predict one label for every row
+    X, Y = blobs
+    p = tmp_path / "m.rnm"
+    save_model(kelm_train(X, Y, KernelSpec("rbf", sigma=1.3), [0.2])[0], p)
+    _rewrite(p, edit_header=lambda h: h["model"]["kernel_map"]["spec"].update(sigma=sigma))
+    with pytest.raises(ValueError, match="sigma must be > 0 and finite") as err:
+        load_model(p)
+    assert str(p) in str(err.value)
 
 
 def test_replace_atomically_keeps_old_file_on_failure(tmp_path):
