@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import is_finite, is_integer
+from .data import NON_NEGATIVE, check_fields, integer, one_of
 from .numerics import ShapeError, activate
 from .shallow import make_random_layer
 from .solvers import (
@@ -37,10 +37,8 @@ class CorruptionSpec:
     sigma: float = 0.0  # gaussian noise std
 
     def __post_init__(self):
-        if self.kind not in ("none", "gaussian"):
-            raise ValueError(f"unknown corruption kind {self.kind!r}")
-        if not (is_finite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"gaussian sigma must be >= 0 and finite, got {self.sigma}")
+        check_fields(self, {"kind": one_of("none", "gaussian"), "sigma": NON_NEGATIVE},
+                     "corruption ")
 
 
 @dataclass
@@ -66,8 +64,7 @@ class AutoencoderSpec:
     corruption: CorruptionSpec = field(default_factory=CorruptionSpec)
 
     def __post_init__(self):
-        if not (is_integer(self.width) and self.width >= 1):
-            raise ValueError(f"width must be an integer >= 1, got {self.width}")
+        check_fields(self, {"width": integer(1)}, "autoencoder ")
 
 
 @dataclass

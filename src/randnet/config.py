@@ -12,8 +12,8 @@ from pathlib import Path
 
 import yaml
 
-from .data import (BOOL, FILE_NAME, MAPPING, STRING, checked, integer, is_finite, is_path_name,
-                   one_of)
+from .data import (BOOL, FILE_NAME, MAPPING, NON_EMPTY_LIST, STRING, checked, integer, is_finite,
+                   is_path_name, one_of)
 from .methods import METHODS, check_param
 from .selection import GridSpec
 
@@ -89,10 +89,9 @@ class RunConfig:
                            for key, value in decl.grid.items()})
 
 
-_LIST = (lambda v: isinstance(v, list) and len(v) > 0, "a non-empty list")
 _SEED = integer(0)
 
-_TOP_RULES = {"datasets": _LIST, "methods": _LIST, "seeds": _LIST,
+_TOP_RULES = {"datasets": NON_EMPTY_LIST, "methods": NON_EMPTY_LIST, "seeds": NON_EMPTY_LIST,
               "output_dir": (is_path_name, "a directory name"),
               "parallelism": integer(1), "scaling": one_of("minmax", "zscore", "none"),
               "retrain_with_validation": BOOL}

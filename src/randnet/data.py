@@ -9,8 +9,9 @@ External formats (see README for byte-level examples):
   parsing schema, and the partition files.
 
 The rules of every YAML mapping randnet reads, the manifest's here and
-the run config's in config.py, are tables checked by one walker,
-``checked``, at the end of this module.
+the run config's in config.py, and of every spec and model dataclass
+field are tables checked by one walker, ``checked``, at the end of this
+module.
 """
 
 import csv
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .numerics import ShapeError
+from .numerics import ACTIVATION_NAMES, ShapeError
 
 PARTITION_ROLES = ("train", "validation", "test")
 
@@ -140,8 +141,7 @@ class ScalingStats:
     spread: np.ndarray
 
     def __post_init__(self):
-        if self.method not in ("minmax", "zscore"):
-            raise ValueError(f"unknown scaling method {self.method!r}")
+        check_fields(self, {"method": one_of("minmax", "zscore")}, "scaling ")
 
     def apply(self, M):
         if M.shape[1] != self.center.shape[0]:
@@ -267,8 +267,9 @@ def load_manifest(path):
 
 # ------------------------------------------------------------ document rules
 # Each YAML mapping randnet reads (here the manifest, in config.py the run
-# config) is a table {key: (test, what it must be)}. Every test is total:
-# on any YAML value it returns False rather than raise.
+# config) and each spec or model dataclass is a table {key: (test, what it
+# must be)}. Every test is total: on any value it returns False rather
+# than raise.
 
 
 def checked(mapping, rules, fail, required=(), subject=""):
@@ -281,6 +282,12 @@ def checked(mapping, rules, fail, required=(), subject=""):
         if (key in mapping or key in required) and not test(mapping.get(key)):
             raise fail(f"{subject}{key} must be {wanted}, got {mapping.get(key)!r}", key)
     return mapping
+
+
+def check_fields(obj, rules, subject=""):
+    """Raise ValueError unless each field of obj named in rules passes its rule."""
+    values = {key: getattr(obj, key) for key in rules}
+    checked(values, rules, lambda message, _: ValueError(message), subject=subject)
 
 
 def is_path_name(v):
@@ -312,6 +319,10 @@ BOOL = (lambda v: isinstance(v, bool), "true or false")
 STRING = (lambda v: isinstance(v, str), "a string")
 FILE_NAME = (is_path_name, "a file name")
 MAPPING = (lambda v: isinstance(v, dict), "a mapping")
+NON_EMPTY_LIST = (lambda v: isinstance(v, list) and len(v) > 0, "a non-empty list")
+POSITIVE = (lambda v: is_finite(v) and v > 0, "> 0 and finite")
+NON_NEGATIVE = (lambda v: is_finite(v) and v >= 0, ">= 0 and finite")
+ACTIVATION = one_of(*ACTIVATION_NAMES)
 
 _MANIFEST_RULES = {"name": STRING, "csv": MAPPING, "partitions": MAPPING, "disjoint": BOOL}
 _CSV_RULES = {"path": FILE_NAME, "label_col": (is_integer, "an integer"), "header": BOOL,

@@ -18,7 +18,7 @@ seed independently of the layer seeds.
 from dataclasses import dataclass, replace
 
 from .autoencoders import AutoencoderSpec, KernelDecoder, encode, rand_ae_train
-from .data import fit_scaling
+from .data import NON_EMPTY_LIST, check_fields, fit_scaling, one_of
 from .numerics import RngState, ShapeError, check_finite, concat_cols, derive_seed
 from .shallow import ShallowModel, train_classifier
 from .shallow import predict as shallow_predict
@@ -43,12 +43,8 @@ class DeepConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.layers:
-            raise ValueError("need at least one layer spec")
-        if self.connectivity not in CONNECTIVITIES:
-            raise ValueError(f"unknown connectivity {self.connectivity!r}")
-        if self.classifier not in ("rvfl", "elm", "kelm"):
-            raise ValueError(f"unknown classifier kind {self.classifier!r}")
+        check_fields(self, {"layers": NON_EMPTY_LIST, "connectivity": one_of(*CONNECTIVITIES),
+                            "classifier": one_of("rvfl", "elm", "kelm")}, "deep ")
         if self.classifier == "kelm" and self.clf_kernel is None:
             raise ValueError("kelm classifier needs clf_kernel")
 

@@ -9,9 +9,8 @@ autoencoder layers and the classifier.
 from dataclasses import dataclass
 
 from .autoencoders import AutoencoderSpec, CorruptionSpec
-from .data import checked, integer, is_finite, is_number, one_of
+from .data import ACTIVATION, checked, integer, is_finite, is_number
 from .deep import DeepConfig, DeepModel, deep_predict_path, deep_train, mlkelm_train
-from .numerics import ACTIVATION_NAMES
 from .shallow import predict_path as shallow_predict_path
 from .shallow import train_classifier
 from .solvers import ElasticNetConfig, KernelSpec, L1Config, RidgeConfig
@@ -42,7 +41,7 @@ PARAM_RULES = {
     "sigma": _POSITIVE,
     "noise": (lambda v: is_number(v) and v >= 0, "a number >= 0"),
     "alpha_mix": (lambda v: is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
-    "activation": one_of(*ACTIVATION_NAMES),
+    "activation": ACTIVATION,
     "solver_iters": _COUNT,
     "max_train_rows": _COUNT,
 }

@@ -32,7 +32,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 
-from .data import is_finite, is_integer, is_number
+from .data import POSITIVE, check_fields, integer, is_number, one_of
 from .numerics import ShapeError, check_finite
 
 log = logging.getLogger(__name__)
@@ -45,8 +45,7 @@ class RidgeConfig:
     lam: float = 1.0
 
     def __post_init__(self):
-        if not (is_finite(self.lam) and self.lam > 0):
-            raise ValueError(f"ridge lam must be > 0 and finite, got {self.lam}")
+        check_fields(self, {"lam": POSITIVE}, "ridge ")
 
 
 @dataclass
@@ -56,12 +55,7 @@ class L1Config:
     tol: float = 1e-10  # relative objective change
 
     def __post_init__(self):
-        if not (is_finite(self.lam) and self.lam > 0):
-            raise ValueError(f"l1 lam must be > 0 and finite, got {self.lam}")
-        if not (is_integer(self.max_iters) and self.max_iters >= 1):
-            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters}")
-        if not (is_finite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be > 0 and finite, got {self.tol}")
+        check_fields(self, {"lam": POSITIVE, "max_iters": integer(1), "tol": POSITIVE}, "l1 ")
 
 
 @dataclass
@@ -73,16 +67,9 @@ class ElasticNetConfig:
     tol_dual: float = 1e-10
 
     def __post_init__(self):
-        if not (is_finite(self.lam) and self.lam > 0):
-            raise ValueError(f"elastic-net lam must be > 0 and finite, got {self.lam}")
-        if not (is_number(self.alpha_mix) and 0 <= self.alpha_mix <= 1):
-            raise ValueError(f"alpha_mix must be in [0, 1], got {self.alpha_mix}")
-        if not (is_integer(self.max_iters) and self.max_iters >= 1):
-            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters}")
-        for name in ("tol_primal", "tol_dual"):
-            tol = getattr(self, name)
-            if not (is_finite(tol) and tol > 0):
-                raise ValueError(f"{name} must be > 0 and finite, got {tol}")
+        mix = (lambda v: is_number(v) and 0 <= v <= 1, "in [0, 1]")
+        check_fields(self, {"lam": POSITIVE, "alpha_mix": mix, "max_iters": integer(1),
+                            "tol_primal": POSITIVE, "tol_dual": POSITIVE}, "elastic-net ")
 
 
 @dataclass
@@ -91,10 +78,7 @@ class KernelSpec:
     sigma: float = 1.0  # rbf bandwidth
 
     def __post_init__(self):
-        if self.kind not in ("rbf", "linear"):
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if not (is_finite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"kernel sigma must be > 0 and finite, got {self.sigma}")
+        check_fields(self, {"kind": one_of("rbf", "linear"), "sigma": POSITIVE}, "kernel ")
 
 
 @dataclass

@@ -56,7 +56,8 @@ def test_corruption_spec_validation():
     with pytest.raises(ValueError):
         CorruptionSpec("gaussian", sigma=-0.1)
     for kind in ("masking", "dropout"):
-        with pytest.raises(ValueError, match="unknown corruption kind"):
+        with pytest.raises(ValueError, match="corruption kind must be one of "
+                                             rf"\['none', 'gaussian'\], got '{kind}'"):
             CorruptionSpec(kind)
 
 

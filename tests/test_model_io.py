@@ -278,7 +278,8 @@ def test_defective_file_fails_loudly(blobs, tmp_path, edit, message):
     (lambda: ElasticNetConfig(max_iters=True), "max_iters must be an integer >= 1"),
     (lambda: ElasticNetConfig(alpha_mix=True), "alpha_mix must be in [0, 1]"),
     (lambda: AutoencoderSpec(width=2.5), "width must be an integer >= 1"),
-    (lambda: ScalingStats("bogus", np.zeros(2), np.ones(2)), "unknown scaling method 'bogus'"),
+    (lambda: ScalingStats("bogus", np.zeros(2), np.ones(2)),
+     "scaling method must be one of ['minmax', 'zscore'], got 'bogus'"),
 ], ids=["kernel_sigma_inf", "kernel_sigma_nan", "kernel_sigma_bool", "corruption_sigma_nan",
         "corruption_sigma_inf", "ridge_lam_bool", "l1_iters_float", "elastic_iters_bool",
         "elastic_mix_bool", "ae_width_float", "scaling_method"])
