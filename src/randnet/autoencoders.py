@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import NON_NEGATIVE, check_fields, integer, one_of
+from .data import (ACTIVATION, BOOL, NON_NEGATIVE, POSITIVE, check_fields, integer, one_of,
+                   optional)
 from .numerics import ShapeError, activate
 from .shallow import make_random_layer
 from .solvers import (
@@ -48,6 +49,9 @@ class KernelDecoder:
     spec: KernelSpec = field(default_factory=KernelSpec)
     lam: float = 1.0
 
+    def __post_init__(self):
+        check_fields(self, {"lam": POSITIVE}, "kernel decoder ")
+
 
 @dataclass
 class AutoencoderSpec:
@@ -64,7 +68,7 @@ class AutoencoderSpec:
     corruption: CorruptionSpec = field(default_factory=CorruptionSpec)
 
     def __post_init__(self):
-        check_fields(self, {"width": integer(1)}, "autoencoder ")
+        check_fields(self, {"width": integer(1), "activation": ACTIVATION}, "autoencoder ")
 
 
 @dataclass
@@ -75,6 +79,10 @@ class EncoderWeights:
     decoder: np.ndarray | None = None  # width x input_dim
     kernel_map: KernelMap | None = None  # kernel variant
     converged: bool = True
+
+    def __post_init__(self):
+        check_fields(self, {"activation": ACTIVATION, "converged": BOOL,
+                            "kernel_map": optional(KernelMap)}, "encoder ")
 
 
 def corrupt(X, spec, rng):

@@ -315,6 +315,10 @@ def one_of(*choices):
     return lambda v: isinstance(v, str) and v in choices, f"one of {list(choices)}"
 
 
+def optional(cls):
+    return lambda v: v is None or isinstance(v, cls), f"a {cls.__name__} or null"
+
+
 BOOL = (lambda v: isinstance(v, bool), "true or false")
 STRING = (lambda v: isinstance(v, str), "a string")
 FILE_NAME = (is_path_name, "a file name")

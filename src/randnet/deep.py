@@ -18,7 +18,8 @@ seed independently of the layer seeds.
 from dataclasses import dataclass, replace
 
 from .autoencoders import AutoencoderSpec, KernelDecoder, encode, rand_ae_train
-from .data import NON_EMPTY_LIST, check_fields, fit_scaling, one_of
+from .data import (ACTIVATION, NON_EMPTY_LIST, POSITIVE, check_fields, fit_scaling, integer,
+                   one_of)
 from .numerics import RngState, ShapeError, check_finite, concat_cols, derive_seed
 from .shallow import ShallowModel, train_classifier
 from .shallow import predict as shallow_predict
@@ -44,7 +45,9 @@ class DeepConfig:
 
     def __post_init__(self):
         check_fields(self, {"layers": NON_EMPTY_LIST, "connectivity": one_of(*CONNECTIVITIES),
-                            "classifier": one_of("rvfl", "elm", "kelm")}, "deep ")
+                            "classifier": one_of("rvfl", "elm", "kelm"), "clf_width": integer(1),
+                            "clf_lam": POSITIVE, "clf_activation": ACTIVATION,
+                            "seed": integer(0)}, "deep ")
         if self.classifier == "kelm" and self.clf_kernel is None:
             raise ValueError("kelm classifier needs clf_kernel")
 
@@ -56,6 +59,9 @@ class DeepModel:
     scalers: list  # ScalingStats per layer
     classifier: ShallowModel
     input_dim: int
+
+    def __post_init__(self):
+        check_fields(self, {"input_dim": integer(1)}, "deep model ")
 
 
 def _layer_input(X, feats, mode, i):

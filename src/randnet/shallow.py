@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .data import ACTIVATION, BOOL, check_fields, optional
 from .numerics import RngState, ShapeError, activate, check_finite, concat_cols
 from .solvers import KernelMap, fit_kernel_map, kernel_matrix, ridge_solve
 
@@ -22,6 +23,9 @@ class RandomLayer:
     W: np.ndarray  # input_dim x width
     b: np.ndarray  # 1 x width
     activation: str = "sigmoid"
+
+    def __post_init__(self):
+        check_fields(self, {"activation": ACTIVATION}, "layer ")
 
     def transform(self, X):
         if X.ndim != 2 or X.shape[1] != self.W.shape[0]:
@@ -52,6 +56,10 @@ class ShallowModel:
     weights: np.ndarray | None = None  # Beta over design(X)
     direct_links: bool = False
     kernel_map: KernelMap | None = None
+
+    def __post_init__(self):
+        check_fields(self, {"layer": optional(RandomLayer), "direct_links": BOOL,
+                            "kernel_map": optional(KernelMap)}, "shallow ")
 
     def design(self, X):
         """Feature map seen by the output weights (rvfl/elm only)."""

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randnet.autoencoders import AutoencoderSpec, CorruptionSpec, KernelDecoder
+from randnet.autoencoders import AutoencoderSpec, CorruptionSpec, EncoderWeights, KernelDecoder
 from randnet.data import ScalingStats
 from randnet.deep import (
     CONNECTIVITIES,
@@ -22,7 +22,14 @@ from randnet.deep import (
 )
 from randnet.methods import predict_method
 from randnet.model_io import MAGIC, REGISTRY, load_model, save_model
-from randnet.shallow import ShallowModel, elm_train, kelm_train, predict, rvfl_train
+from randnet.shallow import (
+    RandomLayer,
+    ShallowModel,
+    elm_train,
+    kelm_train,
+    predict,
+    rvfl_train,
+)
 from randnet.solvers import ElasticNetConfig, KernelSpec, L1Config, RidgeConfig
 from randnet.synthetic import separable_blobs
 
@@ -267,6 +274,10 @@ def test_defective_file_fails_loudly(blobs, tmp_path, edit, message):
 
 
 # every spec a model header rebuilds refuses what its trainer never writes
+ACTS = "['linear', 'relu', 'sigmoid', 'tanh']"
+LAYERS = [AutoencoderSpec()]
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda: KernelSpec("rbf", sigma=np.inf), "sigma must be > 0 and finite"),
     (lambda: KernelSpec("rbf", sigma=np.nan), "sigma must be > 0 and finite"),
@@ -280,9 +291,29 @@ def test_defective_file_fails_loudly(blobs, tmp_path, edit, message):
     (lambda: AutoencoderSpec(width=2.5), "width must be an integer >= 1"),
     (lambda: ScalingStats("bogus", np.zeros(2), np.ones(2)),
      "scaling method must be one of ['minmax', 'zscore'], got 'bogus'"),
+    (lambda: AutoencoderSpec(activation="bogus"), f"activation must be one of {ACTS}, got 'bogus'"),
+    (lambda: RandomLayer(np.zeros((2, 3)), np.zeros((1, 3)), "bogus"),
+     f"layer activation must be one of {ACTS}, got 'bogus'"),
+    (lambda: EncoderWeights(activation=None), f"activation must be one of {ACTS}, got None"),
+    (lambda: EncoderWeights(converged=1), "converged must be true or false, got 1"),
+    (lambda: EncoderWeights(kernel_map=0), "kernel_map must be a KernelMap or null, got 0"),
+    (lambda: ShallowModel(layer="bogus"), "layer must be a RandomLayer or null, got 'bogus'"),
+    (lambda: ShallowModel(direct_links=0), "direct_links must be true or false, got 0"),
+    (lambda: ShallowModel(kernel_map=2.5), "kernel_map must be a KernelMap or null, got 2.5"),
+    (lambda: KernelDecoder(lam=np.inf), "lam must be > 0 and finite, got inf"),
+    (lambda: DeepConfig(LAYERS, clf_width=2.5), "clf_width must be an integer >= 1, got 2.5"),
+    (lambda: DeepConfig(LAYERS, clf_lam=np.nan), "clf_lam must be > 0 and finite, got nan"),
+    (lambda: DeepConfig(LAYERS, clf_activation=0),
+     f"clf_activation must be one of {ACTS}, got 0"),
+    (lambda: DeepConfig(LAYERS, seed=True), "seed must be an integer >= 0, got True"),
+    (lambda: DeepModel(DeepConfig(LAYERS), [], [], ShallowModel(), -1),
+     "input_dim must be an integer >= 1, got -1"),
 ], ids=["kernel_sigma_inf", "kernel_sigma_nan", "kernel_sigma_bool", "corruption_sigma_nan",
         "corruption_sigma_inf", "ridge_lam_bool", "l1_iters_float", "elastic_iters_bool",
-        "elastic_mix_bool", "ae_width_float", "scaling_method"])
+        "elastic_mix_bool", "ae_width_float", "scaling_method", "ae_activation",
+        "layer_activation", "encoder_activation", "encoder_converged", "encoder_kernel_map",
+        "shallow_layer", "shallow_direct_links", "shallow_kernel_map", "kernel_decoder_lam",
+        "deep_clf_width", "deep_clf_lam", "deep_clf_activation", "deep_seed", "deep_input_dim"])
 def test_spec_rejects_invalid_field(make, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         make()
@@ -304,6 +335,62 @@ def test_tampered_spec_value_fails_load(blobs, tmp_path, sigma):
     with pytest.raises(ValueError, match="sigma must be > 0 and finite") as err:
         load_model(p)
     assert str(p) in str(err.value)
+
+
+def _scalar_leaves(doc, path=()):
+    """Paths to every non-container value of a JSON document."""
+    if not isinstance(doc, (dict, list)):
+        return [path]
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    return [leaf for key, value in items for leaf in _scalar_leaves(value, path + (key,))]
+
+
+def _set_leaf(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+def _case_dense_deep(X, Y):
+    layers = [AutoencoderSpec(width=6, reg=L1Config(lam=0.5, max_iters=20),
+                              corruption=CorruptionSpec("gaussian", sigma=0.2)),
+              AutoencoderSpec(width=5, reg=ElasticNetConfig(lam=0.5, max_iters=20))]
+    return deep_train(X, Y, DeepConfig(layers=layers, connectivity="dense", clf_width=12))
+
+
+TAMPER_CASES = {
+    "rvfl": lambda X, Y: rvfl_train(X, Y, width=10, lam=[0.1], seed=1)[0],
+    "kelm": lambda X, Y: kelm_train(X, Y, KernelSpec("rbf", sigma=1.3), [0.2])[0],
+    "dense_deep": _case_dense_deep,
+    "ml_kelm": lambda X, Y: mlkelm_train(X, Y, RBF, 0.1, 2),
+}
+BAD_VALUES = [True, "bogus", float("inf"), -1, 2.5, None, 0]
+
+
+@pytest.mark.parametrize("case", sorted(TAMPER_CASES))
+def test_tampered_scalar_fails_load_or_predicts(blobs, tmp_path, case):
+    # each scalar of the header, in turn, set to each bad value: the load
+    # refuses it naming the file, or the model it gives still predicts
+    X, Y = blobs
+    p = tmp_path / "m.rnm"
+    save_model(TAMPER_CASES[case](X, Y), p)
+    clean = p.read_bytes()
+    (hlen,) = struct.unpack("<Q", clean[8:16])
+    late = []
+    for path in _scalar_leaves(json.loads(clean[16:16 + hlen])):
+        for bad in BAD_VALUES:
+            p.write_bytes(clean)
+            _rewrite(p, edit_header=lambda h: _set_leaf(h, path, bad))
+            try:
+                model = load_model(p)
+            except ValueError as err:
+                assert str(p) in str(err)
+                continue
+            try:
+                predict_method(model, X)
+            except Exception as err:
+                late.append(f"{'.'.join(map(str, path))} = {bad!r}: {type(err).__name__}")
+    assert late == []
 
 
 def test_replace_atomically_keeps_old_file_on_failure(tmp_path):
