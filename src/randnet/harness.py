@@ -104,7 +104,7 @@ def run_train(cfg, dataset_name, method_name, out_dir, seed=None):
     """Train one model at the configured fixed hyperparameters.
 
     Writes the model container and appends one metrics row; the model
-    file bytes depend only on (config, seed).
+    file bytes depend only on (config, seed, BLAS build, thread count).
     """
     ds, method, mdecl = _cell(cfg, dataset_name, method_name)
     seed = cfg.seeds[0] if seed is None else seed
