@@ -81,8 +81,8 @@ class EncoderWeights:
     converged: bool = True
 
     def __post_init__(self):
-        check_fields(self, {"activation": ACTIVATION, "converged": BOOL,
-                            "kernel_map": optional(KernelMap)}, "encoder ")
+        check_fields(self, {"activation": ACTIVATION, "decoder": optional(np.ndarray),
+                            "kernel_map": optional(KernelMap), "converged": BOOL}, "encoder ")
 
 
 def corrupt(X, spec, rng):

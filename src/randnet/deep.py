@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 from .autoencoders import AutoencoderSpec, KernelDecoder, encode, rand_ae_train
 from .data import (ACTIVATION, NON_EMPTY_LIST, POSITIVE, check_fields, fit_scaling, integer,
-                   one_of)
+                   one_of, optional)
 from .numerics import RngState, ShapeError, check_finite, concat_cols, derive_seed
 from .shallow import ShallowModel, train_classifier
 from .shallow import predict as shallow_predict
@@ -46,8 +46,8 @@ class DeepConfig:
     def __post_init__(self):
         check_fields(self, {"layers": NON_EMPTY_LIST, "connectivity": one_of(*CONNECTIVITIES),
                             "classifier": one_of("rvfl", "elm", "kelm"), "clf_width": integer(1),
-                            "clf_lam": POSITIVE, "clf_activation": ACTIVATION,
-                            "seed": integer(0)}, "deep ")
+                            "clf_lam": POSITIVE, "clf_activation": ACTIVATION, "seed": integer(0),
+                            "clf_kernel": optional(KernelSpec)}, "deep ")
         if self.classifier == "kelm" and self.clf_kernel is None:
             raise ValueError("kelm classifier needs clf_kernel")
 

@@ -58,8 +58,8 @@ class ShallowModel:
     kernel_map: KernelMap | None = None
 
     def __post_init__(self):
-        check_fields(self, {"layer": optional(RandomLayer), "direct_links": BOOL,
-                            "kernel_map": optional(KernelMap)}, "shallow ")
+        check_fields(self, {"layer": optional(RandomLayer), "weights": optional(np.ndarray),
+                            "direct_links": BOOL, "kernel_map": optional(KernelMap)}, "shallow ")
 
     def design(self, X):
         """Feature map seen by the output weights (rvfl/elm only)."""

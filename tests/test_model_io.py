@@ -296,8 +296,10 @@ LAYERS = [AutoencoderSpec()]
      f"layer activation must be one of {ACTS}, got 'bogus'"),
     (lambda: EncoderWeights(activation=None), f"activation must be one of {ACTS}, got None"),
     (lambda: EncoderWeights(converged=1), "converged must be true or false, got 1"),
+    (lambda: EncoderWeights(decoder=[1.0]), "decoder must be a ndarray or null, got [1.0]"),
     (lambda: EncoderWeights(kernel_map=0), "kernel_map must be a KernelMap or null, got 0"),
     (lambda: ShallowModel(layer="bogus"), "layer must be a RandomLayer or null, got 'bogus'"),
+    (lambda: ShallowModel(weights="bogus"), "weights must be a ndarray or null, got 'bogus'"),
     (lambda: ShallowModel(direct_links=0), "direct_links must be true or false, got 0"),
     (lambda: ShallowModel(kernel_map=2.5), "kernel_map must be a KernelMap or null, got 2.5"),
     (lambda: KernelDecoder(lam=np.inf), "lam must be > 0 and finite, got inf"),
@@ -306,14 +308,17 @@ LAYERS = [AutoencoderSpec()]
     (lambda: DeepConfig(LAYERS, clf_activation=0),
      f"clf_activation must be one of {ACTS}, got 0"),
     (lambda: DeepConfig(LAYERS, seed=True), "seed must be an integer >= 0, got True"),
+    (lambda: DeepConfig(LAYERS, clf_kernel=1.0),
+     "clf_kernel must be a KernelSpec or null, got 1.0"),
     (lambda: DeepModel(DeepConfig(LAYERS), [], [], ShallowModel(), -1),
      "input_dim must be an integer >= 1, got -1"),
 ], ids=["kernel_sigma_inf", "kernel_sigma_nan", "kernel_sigma_bool", "corruption_sigma_nan",
         "corruption_sigma_inf", "ridge_lam_bool", "l1_iters_float", "elastic_iters_bool",
         "elastic_mix_bool", "ae_width_float", "scaling_method", "ae_activation",
-        "layer_activation", "encoder_activation", "encoder_converged", "encoder_kernel_map",
-        "shallow_layer", "shallow_direct_links", "shallow_kernel_map", "kernel_decoder_lam",
-        "deep_clf_width", "deep_clf_lam", "deep_clf_activation", "deep_seed", "deep_input_dim"])
+        "layer_activation", "encoder_activation", "encoder_converged", "encoder_decoder",
+        "encoder_kernel_map", "shallow_layer", "shallow_weights", "shallow_direct_links",
+        "shallow_kernel_map", "kernel_decoder_lam", "deep_clf_width", "deep_clf_lam",
+        "deep_clf_activation", "deep_seed", "deep_clf_kernel", "deep_input_dim"])
 def test_spec_rejects_invalid_field(make, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         make()
