@@ -5,7 +5,7 @@ a JSON header (sorted keys, no whitespace), then every array as raw
 little-endian float64, row-major, in field order, depth first. In the
 header each dataclass is an object tagged with ``__type__`` and each
 array is ``{"__shape__": [...]}``; the header also records the payload's
-byte count and SHA-256. Nothing time-dependent goes in, so the same
+byte count and SHA-256. No time or platform fact goes in, so the same
 seed, config, BLAS build and thread count reproduce the file exactly.
 
 Artifacts (models here; the bench manifest and result CSVs in the
