@@ -130,8 +130,7 @@ def encode(Hin, enc):
     """Forward pass of a trained layer on clean inputs."""
     if enc.kernel_map is not None:
         return enc.kernel_map.apply(Hin)
-    if Hin.shape[1] != enc.decoder.shape[1]:
-        raise ShapeError(
-            f"input has {Hin.shape[1]} features, encoder expects {enc.decoder.shape[1]}"
-        )
+    if Hin.ndim != 2 or Hin.shape[1] != enc.decoder.shape[1]:
+        raise ShapeError(f"input has {Hin.shape[1] if Hin.ndim == 2 else '?'} features, "
+                         f"encoder expects {enc.decoder.shape[1]}")
     return activate(enc.activation, Hin @ enc.decoder.T)

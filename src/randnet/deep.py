@@ -15,12 +15,12 @@ whatever concatenation it receives, with a seed split from the master
 seed independently of the layer seeds.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .autoencoders import AutoencoderSpec, KernelDecoder, encode, rand_ae_train
 from .data import (ACTIVATION, NON_EMPTY_LIST, POSITIVE, check_fields, fit_scaling, integer,
                    one_of, optional)
-from .numerics import RngState, ShapeError, check_finite, concat_cols, derive_seed
+from .numerics import RngState, check_finite, concat_cols, derive_seed
 from .shallow import ShallowModel, train_classifier
 from .shallow import predict as shallow_predict
 from .solvers import KernelSpec
@@ -54,14 +54,14 @@ class DeepConfig:
 
 @dataclass
 class DeepModel:
-    config: DeepConfig
+    connectivity: str
     encoders: list  # EncoderWeights per layer
     scalers: list  # ScalingStats per layer
     classifier: ShallowModel
-    input_dim: int
 
     def __post_init__(self):
-        check_fields(self, {"input_dim": integer(1)}, "deep model ")
+        check_fields(self, {"connectivity": one_of(*CONNECTIVITIES),
+                            "encoders": NON_EMPTY_LIST}, "deep model ")
 
 
 def _layer_input(X, feats, mode, i):
@@ -109,7 +109,7 @@ def deep_train(X, Y, cfg, clf_widths=None):
         clf = train_classifier(cfg.classifier, X_clf, Y, [cfg.clf_lam], width,
                                derive_seed(cfg.seed, "classifier"), cfg.clf_activation,
                                cfg.clf_kernel)[0]
-        return DeepModel(replace(cfg, clf_width=width), encoders, scalers, clf, d)
+        return DeepModel(cfg.connectivity, encoders, scalers, clf)
 
     if clf_widths is None:
         return with_classifier(cfg.clf_width)
@@ -118,17 +118,12 @@ def deep_train(X, Y, cfg, clf_widths=None):
 
 def deep_features(model, X):
     """Replay the stored per-layer encode + scale + concatenate pipeline."""
-    if X.ndim != 2 or X.shape[1] != model.input_dim:
-        raise ShapeError(
-            f"input has {X.shape[1] if X.ndim == 2 else '?'} features, "
-            f"model expects {model.input_dim}"
-        )
     check_finite("input", X)
     feats = []
     for i, (enc, scaler) in enumerate(zip(model.encoders, model.scalers)):
-        inp = _layer_input(X, feats, model.config.connectivity, i)
+        inp = _layer_input(X, feats, model.connectivity, i)
         feats.append(scaler.apply(encode(inp, enc)))
-    return _classifier_input(X, feats, model.config.connectivity)
+    return _classifier_input(X, feats, model.connectivity)
 
 
 def deep_predict(model, X):

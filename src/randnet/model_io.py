@@ -24,20 +24,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .autoencoders import AutoencoderSpec, CorruptionSpec, EncoderWeights, KernelDecoder
+from .autoencoders import EncoderWeights
 from .data import ScalingStats
-from .deep import DeepConfig, DeepModel
+from .deep import DeepModel
 from .shallow import RandomLayer, ShallowModel
-from .solvers import ElasticNetConfig, KernelMap, KernelSpec, L1Config, RidgeConfig
+from .solvers import KernelMap, KernelSpec
 
 MAGIC = b"RNMODEL1"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 # every dataclass reachable from ShallowModel and DeepModel; load builds no other
 REGISTRY = {cls.__name__: cls for cls in (
-    ShallowModel, RandomLayer, KernelMap, KernelSpec, DeepModel, DeepConfig,
-    AutoencoderSpec, RidgeConfig, L1Config, ElasticNetConfig, KernelDecoder,
-    CorruptionSpec, EncoderWeights, ScalingStats,
+    ShallowModel, RandomLayer, KernelMap, KernelSpec, DeepModel, EncoderWeights, ScalingStats,
 )}
 
 

@@ -77,8 +77,7 @@ def test_deep_roundtrip_all_variants(blobs, tmp_path):
     loaded = load_model(p)
     np.testing.assert_array_equal(deep_predict(model, X)[0],
                                   deep_predict(loaded, X)[0])
-    assert loaded.config.connectivity == "dense"
-    assert loaded.config.layers[1].reg.max_iters == 200
+    assert loaded.connectivity == "dense"
 
 
 def test_kernel_stack_roundtrip(blobs, tmp_path):
@@ -310,15 +309,15 @@ LAYERS = [AutoencoderSpec()]
     (lambda: DeepConfig(LAYERS, seed=True), "seed must be an integer >= 0, got True"),
     (lambda: DeepConfig(LAYERS, clf_kernel=1.0),
      "clf_kernel must be a KernelSpec or null, got 1.0"),
-    (lambda: DeepModel(DeepConfig(LAYERS), [], [], ShallowModel(), -1),
-     "input_dim must be an integer >= 1, got -1"),
+    (lambda: DeepModel("ring", [EncoderWeights()], [], ShallowModel()),
+     "connectivity must be one of ['plain', 'direct', 'dense'], got 'ring'"),
 ], ids=["kernel_sigma_inf", "kernel_sigma_nan", "kernel_sigma_bool", "corruption_sigma_nan",
         "corruption_sigma_inf", "ridge_lam_bool", "l1_iters_float", "elastic_iters_bool",
         "elastic_mix_bool", "ae_width_float", "scaling_method", "ae_activation",
         "layer_activation", "encoder_activation", "encoder_converged", "encoder_decoder",
         "encoder_kernel_map", "shallow_layer", "shallow_weights", "shallow_direct_links",
         "shallow_kernel_map", "kernel_decoder_lam", "deep_clf_width", "deep_clf_lam",
-        "deep_clf_activation", "deep_seed", "deep_clf_kernel", "deep_input_dim"])
+        "deep_clf_activation", "deep_seed", "deep_clf_kernel", "deep_connectivity"])
 def test_spec_rejects_invalid_field(make, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         make()
