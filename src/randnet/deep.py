@@ -88,15 +88,9 @@ def deep_train(X, Y, cfg, clf_widths=None):
     """
     if X.shape[0] == 0:
         raise ValueError("training set is empty")
-    d = X.shape[1]
     feats, encoders, scalers = [], [], []
     for i, spec in enumerate(cfg.layers):
         inp = _layer_input(X, feats, cfg.connectivity, i)
-        if cfg.connectivity == "dense":
-            expected = d + sum(f.shape[1] for f in feats)
-            assert inp.shape[1] == expected, (
-                f"dense layer {i} input width {inp.shape[1]} != {expected}"
-            )
         enc = rand_ae_train(inp, spec, RngState(derive_seed(cfg.seed, "layer", i)))
         H = encode(inp, enc)
         scaler = fit_scaling(H, "minmax")
@@ -117,7 +111,8 @@ def deep_train(X, Y, cfg, clf_widths=None):
 
 
 def deep_features(model, X):
-    """Replay the stored per-layer encode + scale + concatenate pipeline."""
+    """Replay the stored per-layer encode + scale + concatenate pipeline;
+    the first layer's map checks the input's width."""
     check_finite("input", X)
     feats = []
     for i, (enc, scaler) in enumerate(zip(model.encoders, model.scalers)):

@@ -142,8 +142,9 @@ def run_bench(cfg, out_dir, resume=False):
     Failed cells are recorded with their error string and the run
     continues. With parallelism > 1 the independent cells run
     concurrently, each with BLAS at cpu_count // parallelism threads
-    (restored afterwards); the output order is canonical either way.
-    """
+    (restored afterwards), so the bits of a parallel run depend on the
+    core count and a resume on another machine can mix cells computed
+    at different thread counts. The output order is canonical either way."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results_path = out_dir / "results.csv"

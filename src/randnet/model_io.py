@@ -26,8 +26,8 @@ import numpy as np
 
 from .autoencoders import EncoderWeights
 from .data import ScalingStats
-from .deep import DeepModel
-from .shallow import RandomLayer, ShallowModel
+from .deep import DeepModel, deep_predict
+from .shallow import RandomLayer, ShallowModel, predict
 from .solvers import KernelMap, KernelSpec
 
 MAGIC = b"RNMODEL1"
@@ -110,11 +110,21 @@ def save_model(model, path):
 
 
 def load_model(path):
-    """Read a container written by save_model; any defect raises ValueError naming path."""
+    """Read a container written by save_model and predict one all-zero row with
+    it, so any defect, fields at odds with the arrays too, raises ValueError naming path."""
     try:
-        return _parse(memoryview(Path(path).read_bytes()))
+        model = _parse(memoryview(Path(path).read_bytes()))
     except (TypeError, ValueError, struct.error) as exc:
         raise ValueError(f"{path}: {exc}") from None
+    try:  # a tampered model may lack these arrays; each has a column per input feature
+        deep = isinstance(model, DeepModel)
+        first = model.encoders[0] if deep else model
+        inputs = (first.kernel_map.anchors if first.kernel_map is not None
+                  else first.decoder if deep else first.layer.W.T)
+        (deep_predict if deep else predict)(model, np.zeros((1, inputs.shape[1])))
+    except Exception as exc:
+        raise ValueError(f"{path}: model fails on an all-zero row: {exc}") from None
+    return model
 
 
 def _parse(raw):

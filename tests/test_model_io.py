@@ -3,6 +3,7 @@ import re
 import struct
 import tempfile
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -259,8 +260,9 @@ def _rename_type(header):
     ({"edit_header": lambda h: h.update(version=1)}, "unsupported container version 1"),
     ({"edit_header": lambda h: h.update(version=2)}, "unsupported container version 2"),
     ({"edit_header": lambda h: h.update(version=3)}, "unsupported container version 3"),
+    ({"edit_header": lambda h: h.update(version=4)}, "unsupported container version 4"),
 ], ids=["short_payload", "long_payload", "digest_mismatch", "unknown_type",
-        "missing_field", "version_1", "version_2", "version_3"])
+        "missing_field", "version_1", "version_2", "version_3", "version_4"])
 def test_defective_file_fails_loudly(blobs, tmp_path, edit, message):
     X, Y = blobs
     p = tmp_path / "m.rnm"
@@ -368,7 +370,8 @@ TAMPER_CASES = {
     "dense_deep": _case_dense_deep,
     "ml_kelm": lambda X, Y: mlkelm_train(X, Y, RBF, 0.1, 2),
 }
-BAD_VALUES = [True, "bogus", float("inf"), -1, 2.5, None, 0]
+BAD_VALUES = [True, "bogus", float("inf"), -1, 2.5, None, 0,
+              False, "plain", "direct", "linear"]
 
 
 @pytest.mark.parametrize("case", sorted(TAMPER_CASES))
@@ -395,6 +398,30 @@ def test_tampered_scalar_fails_load_or_predicts(blobs, tmp_path, case):
             except Exception as err:
                 late.append(f"{'.'.join(map(str, path))} = {bad!r}: {type(err).__name__}")
     assert late == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_readme_header_example_matches_a_trained_file(tmp_path):
+    # README quotes the header of this model; its sha256 is masked, since
+    # the payload bits depend on the BLAS build and thread count
+    from randnet.cli import main
+
+    assert main(["train", "--config", str(ROOT / "configs" / "demo.yaml"),
+                 "--dataset", "blobs", "--method", "rvfl", "--out", str(tmp_path)]) == 0
+    raw = next(tmp_path.glob("*.rnm")).read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    readme = (ROOT / "README.md").read_text()
+    quoted = re.search(r'```\n(\{"format":"randnet-model".*?)\n```', readme, re.S).group(1)
+
+    def mask(header):
+        return re.sub(r'"sha256":"[0-9a-f]{64}"', '"sha256":"?"', header)
+
+    assert mask(raw[16:16 + hlen].decode()) == mask(quoted.replace("\n", ""))
+    assert f"its {hlen}-byte header reads" in readme
+    assert f"(header is {hlen:#x} bytes)" in readme
+    assert f"followed by the {len(raw) - 16 - hlen:,}\npayload bytes" in readme
 
 
 def test_replace_atomically_keeps_old_file_on_failure(tmp_path):
