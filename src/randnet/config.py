@@ -51,6 +51,8 @@ def load_yaml_with_lines(text):
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark else None
         raise ConfigError(f"YAML parse error: {exc}", line=line) from exc
+    except RecursionError:  # the composer recurses once per nesting level
+        raise ConfigError("YAML nests too deeply to read") from None
     if root is None:
         return {}, {}
     lines = {}

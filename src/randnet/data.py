@@ -249,6 +249,8 @@ def load_manifest(path):
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
+    except RecursionError:
+        raise DataFormatError(f"{path}: YAML nests too deeply to read") from None
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: manifest must be a mapping")
 

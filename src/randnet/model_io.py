@@ -116,6 +116,8 @@ def load_model(path):
         model = _parse(memoryview(Path(path).read_bytes()))
     except (TypeError, ValueError, struct.error) as exc:
         raise ValueError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: header nests too deeply to read") from None
     try:  # a tampered model may lack these arrays; each has a column per input feature
         deep = isinstance(model, DeepModel)
         first = model.encoders[0] if deep else model

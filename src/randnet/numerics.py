@@ -160,8 +160,8 @@ _BLAS_THREAD_SYMBOLS = (
 )
 
 
-def blas_libraries():
-    """(file name, getter, setter) of every loaded OpenBLAS with a thread-count pair."""
+def loaded_openblas():
+    """(file name, library) of every OpenBLAS mapped into this process."""
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split()[-1] for line in fh})
@@ -172,15 +172,22 @@ def blas_libraries():
         if "openblas" not in Path(path).name or ".so" not in path:
             continue
         try:
-            lib = ctypes.CDLL(path)
+            libs.append((Path(path).name, ctypes.CDLL(path)))
         except OSError:  # unmapped since, or not loadable by path
-            continue
+            pass
+    return libs
+
+
+def blas_libraries():
+    """(file name, getter, setter) of every loaded OpenBLAS with a thread-count pair."""
+    libs = []
+    for name, lib in loaded_openblas():
         for get_name, set_name in _BLAS_THREAD_SYMBOLS:
             if hasattr(lib, get_name) and hasattr(lib, set_name):
                 getter, setter = getattr(lib, get_name), getattr(lib, set_name)
                 getter.argtypes, getter.restype = (), ctypes.c_int
                 setter.argtypes, setter.restype = (ctypes.c_int,), None
-                libs.append((Path(path).name, getter, setter))
+                libs.append((name, getter, setter))
                 break
     return libs
 

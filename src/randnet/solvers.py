@@ -22,8 +22,17 @@ checked for finiteness once per path, not once per lam. A reciprocal
 condition number below machine epsilon emits scipy's ``LinAlgWarning``,
 and a failed Cholesky logs a warning and solves the system as symmetric
 indefinite instead.
+
+The LAPACK routines (``posv`` here, ``potrf``/``potrs`` in ADMM) are
+those of numpy's own OpenBLAS, bound through ctypes, so that every
+product and every solve runs in one BLAS thread pool. scipy links a
+second OpenBLAS with its own pool; when a call into one library ends,
+its worker keeps spinning and takes a core from the other's next call.
+Where numpy's BLAS exports no LAPACK (a numpy built on another BLAS),
+the same routines run through ``scipy.linalg.lapack``.
 """
 
+import ctypes
 import logging
 import warnings
 from dataclasses import dataclass
@@ -33,7 +42,7 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from .data import POSITIVE, check_fields, integer, is_number, one_of
-from .numerics import ShapeError, check_finite
+from .numerics import ShapeError, check_finite, loaded_openblas
 
 log = logging.getLogger(__name__)
 
@@ -100,44 +109,149 @@ class AdmmResult:
     dual_residual: float
 
 
-def _sym_solve(G, B):
-    # G is symmetric and, with the ridge shift, positive definite; fall
-    # back to the generic symmetric path if Cholesky objects. posv hands
-    # the solution back in Fortran order; it is returned C-contiguous as
-    # scipy.linalg.solve returns it, since products with it round by layout.
-    factor, X, info = lapack.dposv(G, B)
-    if info < 0:
-        raise ValueError(f"LAPACK dposv: argument {-info} has an illegal value")
-    if info > 0:
-        log.warning("Cholesky failed on a %d x %d system; "
-                    "solving it as symmetric indefinite", *G.shape)
-        return scipy.linalg.solve(G, B, assume_a="sym")
-    # G.T is the Fortran-order view of G, so dlange reads it uncopied;
-    # G is symmetric, so its 1-norm is the same
-    rcond, _ = lapack.dpocon(factor, lapack.dlange("1", G.T))
-    if rcond < np.finfo(np.float64).eps:
-        warnings.warn(f"An ill-conditioned matrix detected: rcond = {rcond:.6g}.",
-                      scipy.linalg.LinAlgWarning, stacklevel=2)
-    return np.ascontiguousarray(X)
+def _lapack_array(a, copy, square=False):
+    """a as a float64 Fortran-order matrix, a fresh one if copy (LAPACK overwrites it)."""
+    a = (np.array if copy else np.asarray)(a, dtype=np.float64, order="F")
+    if a.ndim != 2 or (square and a.shape[0] != a.shape[1]):
+        raise ShapeError(f"LAPACK needs a {'square ' if square else ''}matrix, got {a.shape}")
+    return a
+
+
+def _int(value):
+    return ctypes.byref(ctypes.c_int64(value))
+
+
+_CHAR, _INT, _ARRAY = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+_DOUBLE, _LENGTH = ctypes.POINTER(ctypes.c_double), ctypes.c_size_t
+# argument types as gfortran passes them, a character's length last
+_LAPACK_SIGNATURES = {
+    "dposv": (_CHAR, _INT, _INT, _ARRAY, _INT, _ARRAY, _INT, _INT, _LENGTH),
+    "dpotrf": (_CHAR, _INT, _ARRAY, _INT, _INT, _LENGTH),
+    "dpotrs": (_CHAR, _INT, _INT, _ARRAY, _INT, _ARRAY, _INT, _INT, _LENGTH),
+    "dpocon": (_CHAR, _INT, _ARRAY, _INT, _DOUBLE, _DOUBLE, _ARRAY, _ARRAY, _INT, _LENGTH),
+    "dlange": (_CHAR, _INT, _INT, _ARRAY, _INT, _ARRAY, _LENGTH),
+}
+
+
+class _NumpyLapack:
+    """LAPACK routines of numpy's OpenBLAS with the call signatures of
+    their ``scipy.linalg.lapack`` namesakes, upper triangle only.
+
+    The library uses 64-bit integers. Like scipy's wrappers, each routine
+    overwrites fresh Fortran-order copies and returns them, unless
+    ``overwrite_a`` lets ``dposv`` factor a Fortran-order float64 matrix
+    in place; ``dpotrf`` leaves the lower triangle as it was, as
+    ``scipy.linalg.cho_factor`` does.
+    """
+
+    def __init__(self, library, routines):
+        self.library = library  # file name, for the record
+        for name, fn in routines.items():
+            fn.argtypes, fn.restype = _LAPACK_SIGNATURES[name], None
+        routines["dlange"].restype = ctypes.c_double
+        self._fn = routines
+
+    def _solve(self, name, c, b):
+        x, info, n = _lapack_array(b, copy=True), ctypes.c_int64(), c.shape[0]
+        if x.shape[0] != n:
+            raise ShapeError(f"{name}: right-hand side has {x.shape[0]} rows, not {n}")
+        self._fn[name](b"U", _int(n), _int(x.shape[1]), c.ctypes.data, _int(max(1, n)),
+                       x.ctypes.data, _int(max(1, n)), ctypes.byref(info), 1)
+        return x, info.value
+
+    def dposv(self, a, b, overwrite_a=False):
+        c = _lapack_array(a, copy=not overwrite_a, square=True)
+        return (c, *self._solve("dposv", c, b))
+
+    def dpotrs(self, c, b):
+        return self._solve("dpotrs", _lapack_array(c, copy=False, square=True), b)
+
+    def dpotrf(self, a):
+        c, info = _lapack_array(a, copy=True, square=True), ctypes.c_int64()
+        n = c.shape[0]
+        self._fn["dpotrf"](b"U", _int(n), c.ctypes.data, _int(max(1, n)), ctypes.byref(info), 1)
+        return c, info.value
+
+    def dpocon(self, c, anorm):
+        c = _lapack_array(c, copy=False, square=True)
+        rcond, info = ctypes.c_double(), ctypes.c_int64()
+        n = c.shape[0]
+        work, iwork = np.empty(3 * n), np.empty(n, np.int64)
+        self._fn["dpocon"](b"U", _int(n), c.ctypes.data, _int(max(1, n)),
+                           ctypes.byref(ctypes.c_double(anorm)), ctypes.byref(rcond),
+                           work.ctypes.data, iwork.ctypes.data, ctypes.byref(info), 1)
+        return rcond.value, info.value
+
+    def dlange(self, norm, a):
+        a = _lapack_array(a, copy=False)
+        m, n = a.shape
+        work = np.empty(m)  # read by the "I" norm only
+        return self._fn["dlange"](norm.encode(), _int(m), _int(n), a.ctypes.data,
+                                  _int(max(1, m)), work.ctypes.data, 1)
+
+
+def _bind_numpy_lapack():
+    """numpy's OpenBLAS LAPACK, or None where no loaded OpenBLAS exports it."""
+    for library, lib in loaded_openblas():
+        # scipy-openblas64 (numpy 2) names them scipy_dposv_64_, numpy 1.x dposv_64_
+        for prefix in ("scipy_", ""):
+            symbols = [f"{prefix}{name}_64_" for name in _LAPACK_SIGNATURES]
+            if all(hasattr(lib, symbol) for symbol in symbols):
+                return _NumpyLapack(library, {name: getattr(lib, symbol) for name, symbol
+                                              in zip(_LAPACK_SIGNATURES, symbols)})
+    return None
+
+
+NUMPY_LAPACK = _bind_numpy_lapack()
+
+
+def _lapack():
+    return NUMPY_LAPACK or lapack
 
 
 def _shifted_solves(G, B, lams):
-    """Solve (G + lam I) X = B for each lam, reusing G.
+    """Solve (G + lam I) X = B for each lam by LAPACK posv, leaving G as it is.
 
-    The diagonal is set from a copy of G's own before each solve, the
-    same addition ``G[idx] += lam`` makes on a fresh G, so every solve
-    sees the matrix a one-lam fit would build.
+    Each solve copies G into one work array per path, in Fortran order,
+    the layout posv reads: a flat copy when G is Fortran-ordered, as the
+    ridge and kernel fits pass it. The work array's diagonal is set
+    from a copy of G's own, the same addition ``G[idx] += lam`` makes on
+    a fresh G, so every solve sees the matrix a one-lam fit would build.
+    posv overwrites the work array with the factor and hands the solution
+    back in Fortran order; it is returned C-contiguous as
+    scipy.linalg.solve returns it, since products with it round by layout.
     """
     check_finite("Gram matrix", G)
     check_finite("right-hand side", B)
+    B = np.asfortranarray(B)
     idx = np.diag_indices_from(G)
     d0 = G[idx]  # advanced indexing copies
+    work = np.empty(G.shape, order="F")
+
+    def shifted(diagonal):
+        work[...] = G
+        work[idx] = diagonal
+        return work
+
+    lp = _lapack()
     solutions = []
     for lam in lams:
         diagonal = d0 + lam
         check_finite("shifted Gram diagonal", diagonal)
-        G[idx] = diagonal
-        solutions.append(_sym_solve(G, B))
+        anorm = lp.dlange("1", shifted(diagonal))  # as scipy.linalg.solve takes it
+        factor, X, info = lp.dposv(work, B, overwrite_a=True)
+        if info < 0:
+            raise ValueError(f"LAPACK dposv: argument {-info} has an illegal value")
+        if info > 0:
+            log.warning("Cholesky failed on a %d x %d system; "
+                        "solving it as symmetric indefinite", *G.shape)
+            solutions.append(scipy.linalg.solve(shifted(diagonal), B, assume_a="sym"))
+            continue
+        rcond, _ = lp.dpocon(factor, anorm)
+        if rcond < np.finfo(np.float64).eps:
+            warnings.warn(f"An ill-conditioned matrix detected: rcond = {rcond:.6g}.",
+                          scipy.linalg.LinAlgWarning, stacklevel=2)
+        solutions.append(np.ascontiguousarray(X))
     return solutions
 
 
@@ -156,18 +270,25 @@ def _check_regression_args(D, Y, lam):
     _check_lams(lam, " (use pinv_solve for lam = 0)")
 
 
+def _gram(A):
+    """A A' as a Fortran-order view. numpy forms a matrix times its own
+    transpose with syrk and mirrors the triangle it computed, so the
+    product is exactly symmetric and its transpose is the same matrix."""
+    return (A @ A.T).T
+
+
 def ridge_primal(D, Y, lam):
     """Beta = (D'D + lam I)^-1 D'Y at each lam of the path, by symmetric
     positive-definite solves."""
     _check_regression_args(D, Y, lam)
-    return _shifted_solves(D.T @ D, D.T @ Y, lam)
+    return _shifted_solves(_gram(D.T), D.T @ Y, lam)
 
 
 def ridge_dual(D, Y, lam):
     """Beta = D'(DD' + lam I)^-1 Y at each lam of the path; same solution,
     n-by-n system."""
     _check_regression_args(D, Y, lam)
-    return [D.T @ A for A in _shifted_solves(D @ D.T, Y, lam)]
+    return [D.T @ A for A in _shifted_solves(_gram(D), Y, lam)]
 
 
 def ridge_solve(D, Y, lam):
@@ -226,9 +347,11 @@ def krr_fit(K, Y, lam):
         raise ShapeError("target rows must match the kernel matrix")
     _check_lams(lam)
     scale = max(1.0, float(np.max(np.abs(K))))
-    if float(np.max(np.abs(K - K.T))) > 1e-8 * scale:
+    asymmetry = float(np.max(np.abs(K - K.T)))
+    if asymmetry > 1e-8 * scale:
         raise ValueError("kernel matrix is not symmetric within tolerance")
-    return _shifted_solves(K.copy(), Y, lam)
+    # an exactly symmetric K equals K.T, whose Fortran order each solve copies flat
+    return _shifted_solves(K.T if asymmetry == 0 else K, Y, lam)
 
 
 @dataclass
@@ -370,7 +493,12 @@ def admm_elastic_net(H, T, cfg):
     rho = cfg.lam
     G = 2.0 * (H.T @ H)
     G[np.diag_indices_from(G)] += rho
-    factor = scipy.linalg.cho_factor(G)
+    check_finite("elastic-net Gram matrix", G)
+    lp = _lapack()
+    factor, info = lp.dpotrf(G)
+    if info > 0:
+        raise scipy.linalg.LinAlgError(f"{info}-th leading minor of the elastic-net "
+                                       "Gram matrix is not positive definite")
     HtT2 = 2.0 * (H.T @ T)
     l1 = cfg.lam * cfg.alpha_mix
     l2 = cfg.lam * (1.0 - cfg.alpha_mix)
@@ -383,7 +511,7 @@ def admm_elastic_net(H, T, cfg):
     for iterations in range(1, cfg.max_iters + 1):
         # the factor comes from checked inputs; a non-finite iterate
         # propagates into Z, which is checked once after the loop
-        W = scipy.linalg.cho_solve(factor, HtT2 + rho * (Z - U), check_finite=False)
+        W, _ = lp.dpotrs(factor, HtT2 + rho * (Z - U))
         Z_prev = Z
         Z = soft_threshold(W + U, l1 / rho) / (1.0 + l2 / rho)
         U = U + W - Z

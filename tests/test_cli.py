@@ -339,6 +339,15 @@ def test_bench_rejects_dataset_without_validation_partition(tmp_path, capsys):
     assert not (out / "bench_manifest.json").exists()
 
 
+def test_bench_rejects_config_nested_too_deeply(tmp_path, capsys):
+    # YAML's composer recursed past Python's limit, and the run exited 1
+    p = tmp_path / "deep.yaml"
+    p.write_text(CONFIG.replace("seeds: [0, 1]", "seeds: " + "[" * 3000 + "0" + "]" * 3000))
+    assert main(["bench", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert "YAML nests too deeply" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
 @pytest.mark.parametrize("partitions, message", [
     ("{train: 5, validation: valid.txt, test: test.txt}",
      "partitions.train must be a file name, got 5"),

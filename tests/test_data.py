@@ -238,6 +238,13 @@ def test_manifest_checks_partition_and_disjoint_types(tmp_path, extra, message):
         load_manifest(man)
 
 
+def test_manifest_nested_too_deeply_fails_loudly(tmp_path):
+    # YAML's composer recursed past Python's limit: a bare RecursionError
+    man = write(tmp_path, "ds.yaml", "csv: " + "[" * 3000 + "]" * 3000 + "\npartitions: {}\n")
+    with pytest.raises(DataFormatError, match="nests too deeply"):
+        load_manifest(man)
+
+
 def test_blobs_deterministic_and_separable_shape():
     a = separable_blobs(n=50, n_test=20, seed=3)
     b = separable_blobs(n=50, n_test=20, seed=3)

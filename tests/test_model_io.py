@@ -274,6 +274,23 @@ def test_defective_file_fails_loudly(blobs, tmp_path, edit, message):
     assert message in str(err.value)
 
 
+@pytest.mark.parametrize("depth", [500, 100_000])
+def test_deeply_nested_header_fails_loudly(blobs, tmp_path, depth):
+    # 500 levels were a RecursionError in the header walk, 100,000 one in
+    # json itself; either is a defect of the file
+    X, Y = blobs
+    p = tmp_path / "m.rnm"
+    save_model(rvfl_train(X, Y, width=10, lam=[0.1], seed=1)[0], p)
+    raw = p.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    nested = b'"kernel_map":' + b"[" * depth + b"]" * depth
+    header = raw[16:16 + hlen].replace(b'"kernel_map":null', nested)
+    p.write_bytes(MAGIC + struct.pack("<Q", len(header)) + header + raw[16 + hlen:])
+    with pytest.raises(ValueError, match="header nests too deeply") as err:
+        load_model(p)
+    assert str(p) in str(err.value)
+
+
 # every spec a model header rebuilds refuses what its trainer never writes
 ACTS = "['linear', 'relu', 'sigmoid', 'tanh']"
 LAYERS = [AutoencoderSpec()]

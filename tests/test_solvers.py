@@ -6,7 +6,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randnet.numerics import NumericError, RngState, ShapeError
+from randnet import solvers
+from randnet.numerics import NumericError, RngState, ShapeError, blas_libraries, blas_threads
 from randnet.shallow import rvfl_train
 from randnet.solvers import (
     ElasticNetConfig,
@@ -393,25 +394,105 @@ def test_cholesky_fallback_is_logged(caplog):
 ORACLE_LAMS = [1e-7, 1.0, 1e3]
 
 
+@pytest.fixture(params=[1, 2], ids=["blas1", "blas2"])
+def blas(request):
+    # the bits may depend on the thread count; each count must match scipy's
+    with blas_threads(request.param):
+        yield request.param
+
+
 @pytest.mark.parametrize("k", [1, 4])
-@pytest.mark.parametrize("n, p", [(6, 10), (10, 10), (10, 6), (40, 130), (130, 40)])
-def test_shifted_solves_are_bitwise_scipy_pos_solve(n, p, k):
+@pytest.mark.parametrize("n, p", [(6, 10), (10, 10), (10, 6), (40, 130), (130, 40),
+                                  (600, 650)])  # 600: OpenBLAS's threaded potrf
+def test_shifted_solves_are_bitwise_scipy_pos_solve(n, p, k, monkeypatch):
     # every closed-form fit, alone or on a path, carries exactly the bits
     # of scipy.linalg.solve(G + lam I, B, assume_a="pos"), and comes back
-    # C-contiguous as that call returns it
+    # C-contiguous as that call returns it: at 1 and 2 BLAS threads, through
+    # numpy's LAPACK and through the scipy path of a numpy built without one
     D, Y = random_problem(31, n, p, k)
     K = kernel_matrix(D, D, KernelSpec("rbf", sigma=3.0))
+    # symmetric only within krr_fit's tolerance: the upper triangle is the one read
+    K_near = K + np.triu(RngState(36).uniform(n, n, 0.0, 1e-12), 1)
     cases = [
         (lambda lam: ridge_primal(D, Y, lam), lambda lam: shifted_solve(D.T @ D, D.T @ Y, lam)),
         (lambda lam: ridge_dual(D, Y, lam), lambda lam: D.T @ shifted_solve(D @ D.T, Y, lam)),
         (lambda lam: krr_fit(K, Y, lam), lambda lam: shifted_solve(K, Y, lam)),
+        (lambda lam: krr_fit(K_near, Y, lam), lambda lam: shifted_solve(K_near, Y, lam)),
     ]
-    for fit, oracle in cases:
-        for lam, from_path in zip(ORACLE_LAMS, fit(ORACLE_LAMS)):
-            expected = oracle(lam)
-            for beta in (fit([lam])[0], from_path):
-                assert beta.flags["C_CONTIGUOUS"]
-                assert beta.tobytes() == expected.tobytes()
+    for numpy_lapack in (solvers.NUMPY_LAPACK, None):
+        monkeypatch.setattr(solvers, "NUMPY_LAPACK", numpy_lapack)
+        for threads in (1, 2):
+            with blas_threads(threads):
+                for fit, oracle in cases:
+                    for lam, from_path in zip(ORACLE_LAMS, fit(ORACLE_LAMS)):
+                        expected = oracle(lam)
+                        for beta in (fit([lam])[0], from_path):
+                            assert beta.flags["C_CONTIGUOUS"]
+                            assert beta.tobytes() == expected.tobytes()
+
+
+@pytest.mark.skipif(solvers.NUMPY_LAPACK is None, reason="numpy's BLAS exports no LAPACK")
+@pytest.mark.parametrize("n, k", [(50, 2), (600, 50)])
+def test_numpy_lapack_is_bitwise_scipy_lapack(n, k, blas):
+    # the binding calls numpy's OpenBLAS; scipy's wrappers call scipy's own
+    rng = RngState(34)
+    A = rng.gaussian(n, n)
+    G = A.T @ A + n * np.eye(n)
+    G[0, 1] += 1e-12  # no longer exactly symmetric: the triangle read matters
+    B = rng.gaussian(n, k)
+    ours = solvers.NUMPY_LAPACK
+    factor, X, info = ours.dposv(G, B)
+    c, x, scipy_info = scipy.linalg.lapack.dposv(G, B)
+    assert info == scipy_info == 0
+    assert factor.tobytes(order="A") == c.tobytes(order="A")
+    assert X.flags["F_CONTIGUOUS"] and X.tobytes(order="A") == x.tobytes(order="A")
+    for norm in ("1", "I"):
+        assert ours.dlange(norm, G) == scipy.linalg.lapack.dlange(norm, G)
+    anorm = ours.dlange("I", G)
+    assert ours.dpocon(factor, anorm) == scipy.linalg.lapack.dpocon(c, anorm)
+    # ADMM's factor and solve, against the cho_factor and cho_solve it replaces
+    factor, info = ours.dpotrf(G)
+    c, lower = scipy.linalg.cho_factor(G)
+    assert info == 0 and factor.tobytes(order="A") == c.tobytes(order="A")
+    X, info = ours.dpotrs(factor, B)
+    x = scipy.linalg.cho_solve((c, lower), B)
+    assert info == 0 and X.flags["F_CONTIGUOUS"]
+    assert X.tobytes(order="A") == x.tobytes(order="A")
+
+
+@pytest.mark.parametrize("n, p, k", [(100, 20, 5), (300, 60, 122)])
+def test_admm_is_bitwise_on_either_lapack(n, p, k, blas, monkeypatch):
+    H, T = random_problem(35, n, p, k)
+    cfg = ElasticNetConfig(lam=0.3, alpha_mix=0.4, max_iters=60)
+    ours = admm_elastic_net(H, T, cfg)
+    monkeypatch.setattr(solvers, "NUMPY_LAPACK", None)
+    theirs = admm_elastic_net(H, T, cfg)
+    assert ours.weights.tobytes() == theirs.weights.tobytes()
+    assert ((ours.iterations, ours.objective, ours.primal_residual, ours.dual_residual)
+            == (theirs.iterations, theirs.objective, theirs.primal_residual,
+                theirs.dual_residual))
+
+
+def test_admm_failed_factor_raises(monkeypatch):
+    # 2 H'H + I rounds to a singular matrix: the second pivot cancels to 0
+    for numpy_lapack in (solvers.NUMPY_LAPACK, None):
+        monkeypatch.setattr(solvers, "NUMPY_LAPACK", numpy_lapack)
+        with pytest.raises(scipy.linalg.LinAlgError, match="2-th leading minor"):
+            admm_elastic_net(np.array([[1e150, 1e150]]), np.array([[1.0]]),
+                             ElasticNetConfig(lam=1.0))
+
+
+def test_numpy_lapack_is_bound_on_ilp64_scipy_openblas():
+    # the solves must not quietly fall back to scipy's second OpenBLAS
+    # where numpy ships the ILP64 scipy-openblas that exports them
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if (blas.get("name") != "scipy-openblas"
+            or "USE64BITINT" not in (blas.get("openblas configuration") or "")):
+        pytest.skip("numpy is not built on ILP64 scipy-openblas")
+    assert solvers.NUMPY_LAPACK is not None
+    numpy_blas = [name for name, getter, _ in blas_libraries()
+                  if getter.__name__ == "scipy_openblas_get_num_threads64_"]
+    assert numpy_blas == [solvers.NUMPY_LAPACK.library]
 
 
 def test_ill_conditioned_solve_warns():
