@@ -171,11 +171,11 @@ def fit_scaling(M, method="minmax"):
     return ScalingStats(method, mins, M.max(axis=0) - mins)  # checks method
 
 
-def fit_apply_scaling(ds, method="minmax", partition="train"):
-    """Fit stats on one partition, apply to every row of the dataset."""
-    idx = ds.partitions.get(partition)
+def fit_apply_scaling(ds, method="minmax"):
+    """Fit stats on the train partition, apply to every row of the dataset."""
+    idx = ds.partitions.get("train")
     if idx is None or len(idx) == 0:
-        raise ValueError(f"dataset {ds.name!r} has no non-empty {partition!r} partition")
+        raise ValueError(f"dataset {ds.name!r} has no non-empty 'train' partition")
     stats = fit_scaling(ds.X[idx], method)
     return replace(ds, X=stats.apply(ds.X)), stats
 

@@ -15,36 +15,24 @@ from .shallow import predict_path as shallow_predict_path
 from .shallow import train_classifier
 from .solvers import ElasticNetConfig, KernelSpec, L1Config, RidgeConfig
 
-DEFAULT_PARAMS = {
-    "layers": 3,
-    "ae_width": 50,
-    "clf_width": 500,
-    "C": 1.0,
-    "sigma": 1.0,  # kernel bandwidth
-    "noise": 0.1,  # corruption std for denoising variants
-    "alpha_mix": 0.5,
-    "activation": "sigmoid",
-    "solver_iters": 500,  # FISTA/ADMM budget inside autoencoders
-    "max_train_rows": 4096,  # kernel-stack guard
-}
-
-
 _COUNT = integer(1)
 _POSITIVE = (lambda v: is_number(v) and v > 0, "a number > 0")
 
-# (test, description) of the values each param accepts
-PARAM_RULES = {
-    "layers": _COUNT,
-    "ae_width": _COUNT,
-    "clf_width": _COUNT,
-    "C": _POSITIVE,
-    "sigma": _POSITIVE,
-    "noise": (lambda v: is_number(v) and v >= 0, "a number >= 0"),
-    "alpha_mix": (lambda v: is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
-    "activation": ACTIVATION,
-    "solver_iters": _COUNT,
-    "max_train_rows": _COUNT,
+# (default, (test, description) of the values it accepts) of each param
+PARAMS = {
+    "layers": (3, _COUNT),
+    "ae_width": (50, _COUNT),
+    "clf_width": (500, _COUNT),
+    "C": (1.0, _POSITIVE),
+    "sigma": (1.0, _POSITIVE),  # kernel bandwidth
+    "noise": (0.1, (lambda v: is_number(v) and v >= 0, "a number >= 0")),  # corruption std
+    "alpha_mix": (0.5, (lambda v: is_number(v) and 0 <= v <= 1, "a number in [0, 1]")),
+    "activation": ("sigmoid", ACTIVATION),
+    "solver_iters": (500, _COUNT),  # FISTA/ADMM budget inside autoencoders
+    "max_train_rows": (4096, _COUNT),  # kernel-stack guard
 }
+DEFAULT_PARAMS = {key: default for key, (default, _) in PARAMS.items()}
+PARAM_RULES = {key: rule for key, (_, rule) in PARAMS.items()}
 
 
 def check_param(key, value):

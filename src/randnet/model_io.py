@@ -7,6 +7,8 @@ header each dataclass is an object tagged with ``__type__`` and each
 array is ``{"__shape__": [...]}``; the header also records the payload's
 byte count and SHA-256. No time or platform fact goes in, so the same
 seed, config, BLAS build and thread count reproduce the file exactly.
+The loader reads the header exactly: its five keys and no other, and a
+shape record with no key but ``__shape__``.
 
 Artifacts (models here; the bench manifest and result CSVs in the
 harness) are written through ``replace_atomically``, so a crash or a
@@ -16,6 +18,7 @@ failed write never leaves a torn file in place of the old one.
 import hashlib
 import json
 import os
+import re
 import struct
 import threading
 from contextlib import contextmanager
@@ -25,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .autoencoders import EncoderWeights
-from .data import ScalingStats
+from .data import MAPPING, ScalingStats, checked, integer, is_integer, one_of
 from .deep import DeepModel, deep_predict
 from .shallow import RandomLayer, ShallowModel, predict
 from .solvers import KernelMap, KernelSpec
@@ -37,6 +40,16 @@ FORMAT_VERSION = 5
 REGISTRY = {cls.__name__: cls for cls in (
     ShallowModel, RandomLayer, KernelMap, KernelSpec, DeepModel, EncoderWeights, ScalingStats,
 )}
+
+# the header's top-level keys; every one is required and no other is read
+_HEADER_RULES = {
+    "format": one_of("randnet-model"),
+    "version": (is_integer, "an integer"),
+    "payload_bytes": integer(0),
+    "sha256": (lambda v: isinstance(v, str) and re.fullmatch("[0-9a-f]{64}", v) is not None,
+               "64 hex characters"),
+    "model": MAPPING,
+}
 
 
 @contextmanager
@@ -80,6 +93,8 @@ def _from_doc(doc, take):
     if not isinstance(doc, dict):
         return doc
     if "__shape__" in doc:
+        if len(doc) != 1:
+            raise ValueError(f"shape record has keys other than __shape__: {sorted(doc)}")
         return take(doc["__shape__"])
     cls = REGISTRY.get(doc.get("__type__"))
     if cls is None:
@@ -137,10 +152,12 @@ def _parse(raw):
     version = header.get("version") if isinstance(header, dict) else None
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported container version {version}")
+    checked(header, _HEADER_RULES, lambda message, _: ValueError(f"header: {message}"),
+            required=_HEADER_RULES)
     payload = raw[16 + hlen:]
-    if len(payload) != header.get("payload_bytes"):
-        raise ValueError(f"payload is {len(payload)} bytes, not {header.get('payload_bytes')}")
-    if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
+    if len(payload) != header["payload_bytes"]:
+        raise ValueError(f"payload is {len(payload)} bytes, not {header['payload_bytes']}")
+    if hashlib.sha256(payload).hexdigest() != header["sha256"]:
         raise ValueError("payload SHA-256 does not match the header")
     pos = 0
 
@@ -149,7 +166,7 @@ def _parse(raw):
         a = np.ndarray(shape, dtype="<f8", buffer=payload, offset=pos)
         pos += a.nbytes
         return a.astype(np.float64)
-    model = _from_doc(header.get("model"), take)
+    model = _from_doc(header["model"], take)
     if pos != len(payload) or not isinstance(model, (ShallowModel, DeepModel)):
         raise ValueError("header does not describe one model and its payload")
     return model

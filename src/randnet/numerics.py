@@ -5,7 +5,10 @@ its randomness through :class:`RngState`, a seeded PCG64 stream with
 hash-based splitting, so a whole pipeline is a pure function of its
 master seed. :func:`average_ranks` is the one ranking routine (AUC and
 the Friedman ranks). :func:`blas_threads` sets the thread count of every
-loaded OpenBLAS for the length of a ``with`` block.
+loaded OpenBLAS for the length of a ``with`` block: numpy's and scipy's
+scipy-openblas, numpy 1.x's openblas64_ or a system build, each told by
+the decoration of its symbol names, a rule the LAPACK binding in
+:mod:`randnet.solvers` reads too.
 
 Only numpy and ``scipy.special`` are imported here. No randnet module
 imports scipy's stats subpackage: loading it would be about half of a
@@ -151,17 +154,21 @@ def average_ranks(x):
     return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
 
 
-# (getter, setter) per OpenBLAS build: numpy's 64-bit-integer scipy-openblas,
-# scipy's 32-bit one, then a plain system OpenBLAS
-_BLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
+# (prefix, suffix) each OpenBLAS build puts around a routine's name: numpy 2's
+# scipy-openblas64 (scipy_dposv_64_), scipy's scipy-openblas (scipy_dposv_), numpy
+# 1.x's openblas64_ (dposv_64_), a system OpenBLAS (dposv_). 64_ marks 64-bit integers.
+OPENBLAS_DECORATIONS = (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", ""))
+_THREAD_ROUTINES = ("openblas_get_num_threads", "openblas_set_num_threads")
+
+
+def openblas_routine(lib, decoration, name):
+    """lib's routine for a plain name (a Fortran one ends in "_"), or None."""
+    return getattr(lib, f"{decoration[0]}{name}{decoration[1]}", None)
 
 
 def loaded_openblas():
-    """(file name, library) of every OpenBLAS mapped into this process."""
+    """(file name, library, decoration) of every OpenBLAS mapped into this
+    process, its decoration the first whose thread-count routines it exports."""
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split()[-1] for line in fh})
@@ -172,23 +179,24 @@ def loaded_openblas():
         if "openblas" not in Path(path).name or ".so" not in path:
             continue
         try:
-            libs.append((Path(path).name, ctypes.CDLL(path)))
+            lib = ctypes.CDLL(path)
         except OSError:  # unmapped since, or not loadable by path
-            pass
+            continue
+        for decoration in OPENBLAS_DECORATIONS:
+            if all(openblas_routine(lib, decoration, name) for name in _THREAD_ROUTINES):
+                libs.append((Path(path).name, lib, decoration))
+                break
     return libs
 
 
 def blas_libraries():
-    """(file name, getter, setter) of every loaded OpenBLAS with a thread-count pair."""
+    """(file name, getter, setter) of the thread count of every loaded OpenBLAS."""
     libs = []
-    for name, lib in loaded_openblas():
-        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                getter, setter = getattr(lib, get_name), getattr(lib, set_name)
-                getter.argtypes, getter.restype = (), ctypes.c_int
-                setter.argtypes, setter.restype = (ctypes.c_int,), None
-                libs.append((name, getter, setter))
-                break
+    for name, lib, decoration in loaded_openblas():
+        getter, setter = (openblas_routine(lib, decoration, n) for n in _THREAD_ROUTINES)
+        getter.argtypes, getter.restype = (), ctypes.c_int
+        setter.argtypes, setter.restype = (ctypes.c_int,), None
+        libs.append((name, getter, setter))
     return libs
 
 

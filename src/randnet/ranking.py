@@ -89,15 +89,14 @@ def friedman_chi2(mean_ranks, M, m):
 def friedman_f(chi2, M, m):
     """F correction (M - 1) chi2 / (M (m - 1) - chi2) with its degrees of freedom.
 
-    Returns (value, (m - 1, (m - 1)(M - 1))). A chi2 at or beyond
-    M (m - 1) saturates the statistic and raises.
+    Returns (value, (m - 1, (m - 1)(M - 1))). chi2 reaches its maximum
+    M (m - 1) when every dataset ranks the methods in the same strict
+    order; F grows without bound as chi2 approaches it (Demsar, 2006), so
+    there, or beyond it by rounding, the value is inf and the test rejects.
     """
     denom = M * (m - 1.0) - chi2
-    if denom <= 0:
-        raise ValueError(
-            f"chi2 = {chi2} saturates the F statistic for M = {M}, m = {m}"
-        )
-    return float((M - 1.0) * chi2 / denom), (m - 1, (m - 1) * (M - 1))
+    value = (M - 1.0) * chi2 / denom if denom > 0 else np.inf
+    return float(value), (m - 1, (m - 1) * (M - 1))
 
 
 def f_critical(dof1, dof2, alpha=0.05):

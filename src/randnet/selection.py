@@ -10,6 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .data import PARTITION_ROLES
 from .methods import (check_param, group_key, hidden_nodes, predict_group, predict_method,
                       resolve_params, train_group, train_method)
 from .numerics import average_ranks
@@ -138,7 +139,7 @@ def grid_search(ds, method, grid, seeds, base_params=None,
     grid order) is retrained once per seed (optionally on train plus
     validation) and the test accuracy is averaged over seeds.
     """
-    for role in ("train", "validation", "test"):
+    for role in PARTITION_ROLES:
         if role not in ds.partitions:
             raise ValueError(f"dataset {ds.name!r} has no {role!r} partition")
     base = resolve_params(method, base_params)

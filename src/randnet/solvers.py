@@ -28,8 +28,9 @@ those of numpy's own OpenBLAS, bound through ctypes, so that every
 product and every solve runs in one BLAS thread pool. scipy links a
 second OpenBLAS with its own pool; when a call into one library ends,
 its worker keeps spinning and takes a core from the other's next call.
-Where numpy's BLAS exports no LAPACK (a numpy built on another BLAS),
-the same routines run through ``scipy.linalg.lapack``.
+numpy's is the loaded OpenBLAS with 64-bit integers that exports them
+(see :func:`randnet.numerics.loaded_openblas`); where none does (a numpy
+built on another BLAS), the same routines run through ``scipy.linalg.lapack``.
 """
 
 import ctypes
@@ -42,7 +43,7 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from .data import POSITIVE, check_fields, integer, is_number, one_of
-from .numerics import ShapeError, check_finite, loaded_openblas
+from .numerics import ShapeError, check_finite, loaded_openblas, openblas_routine
 
 log = logging.getLogger(__name__)
 
@@ -191,14 +192,12 @@ class _NumpyLapack:
 
 
 def _bind_numpy_lapack():
-    """numpy's OpenBLAS LAPACK, or None where no loaded OpenBLAS exports it."""
-    for library, lib in loaded_openblas():
-        # scipy-openblas64 (numpy 2) names them scipy_dposv_64_, numpy 1.x dposv_64_
-        for prefix in ("scipy_", ""):
-            symbols = [f"{prefix}{name}_64_" for name in _LAPACK_SIGNATURES]
-            if all(hasattr(lib, symbol) for symbol in symbols):
-                return _NumpyLapack(library, {name: getattr(lib, symbol) for name, symbol
-                                              in zip(_LAPACK_SIGNATURES, symbols)})
+    """LAPACK of the loaded ILP64 OpenBLAS (numpy's), or None where none exports it."""
+    for library, lib, decoration in loaded_openblas():
+        routines = {name: openblas_routine(lib, decoration, f"{name}_")
+                    for name in _LAPACK_SIGNATURES}
+        if decoration[1] == "64_" and all(routines.values()):
+            return _NumpyLapack(library, routines)
     return None
 
 
@@ -346,12 +345,13 @@ def krr_fit(K, Y, lam):
     if Y.ndim != 2 or Y.shape[0] != K.shape[0]:
         raise ShapeError("target rows must match the kernel matrix")
     _check_lams(lam)
+    if np.array_equal(K, K.T):
+        # K equals K.T, whose Fortran order each solve copies flat
+        return _shifted_solves(K.T, Y, lam)
     scale = max(1.0, float(np.max(np.abs(K))))
-    asymmetry = float(np.max(np.abs(K - K.T)))
-    if asymmetry > 1e-8 * scale:
+    if float(np.max(np.abs(K - K.T))) > 1e-8 * scale:
         raise ValueError("kernel matrix is not symmetric within tolerance")
-    # an exactly symmetric K equals K.T, whose Fortran order each solve copies flat
-    return _shifted_solves(K.T if asymmetry == 0 else K, Y, lam)
+    return _shifted_solves(K, Y, lam)
 
 
 @dataclass
@@ -377,21 +377,22 @@ def fit_kernel_map(X, T, spec, lam):
     return [KernelMap(spec, anchors, alpha) for alpha in alphas]
 
 
-def spectral_norm(H, iters=50, tol=1e-6):
-    """Largest singular value of H by power iteration on the smaller Gram matrix."""
+def spectral_norm(H):
+    """Largest singular value of H by power iteration on the smaller Gram
+    matrix, at most 50 steps, until the eigenvalue moves by at most 1e-6 of itself."""
     n, p = H.shape
     G = H.T @ H if p <= n else H @ H.T
     dim = G.shape[0]
     v = np.full(dim, 1.0 / np.sqrt(dim))
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(50):
         w = G @ v
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
             return 0.0
         lam_new = float(v @ w)  # Rayleigh quotient, ||v|| = 1
         v = w / norm
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
+        if abs(lam_new - lam) <= 1e-6 * max(abs(lam_new), 1e-300):
             lam = lam_new
             break
         lam = lam_new

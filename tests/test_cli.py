@@ -682,14 +682,14 @@ L1_TABLE = [
 ]
 
 
-def write_published_results(path):
-    """L1_TABLE as a results CSV, accuracies as fractions."""
+def write_published_results(path, table=L1_TABLE):
+    """An accuracy table in percent (L1_TABLE's methods) as a results CSV."""
     from randnet.harness import RESULT_COLUMNS, write_results_csv
 
     methods = ("helm_l1", "deep_rvfl_direct_l1", "deep_rvfl_dense_l1",
                "deep_rvfl_dense_denoise_l1")
     rows = []
-    for i, accs in enumerate(L1_TABLE):
+    for i, accs in enumerate(table):
         for m, acc in zip(methods, accs):
             row = {col: "" for col in RESULT_COLUMNS}
             row.update(dataset=f"d{i:02d}", method=m,
@@ -850,6 +850,16 @@ def test_cli_stats_rejects_unsupported_alpha(tmp_path, capsys):
                  "--alpha", "2"]) == 2
     assert "--alpha must be one of [0.05, 0.1], got 2.0" in capsys.readouterr().err
     assert not (tmp_path / "s" / "ranks.csv").exists()
+
+
+def test_cli_stats_on_saturated_ranks(tmp_path, capsys):
+    # every dataset ranks the methods in one strict order, so chi2 is at its
+    # maximum M (m - 1) and F is unbounded: the F test rejects at any alpha
+    table = [(60 + i, 70 + i, 80 + i, 90 + i) for i in range(5)]
+    results = write_published_results(tmp_path / "results.csv", table)
+    assert main(["stats", "--results", str(results), "--out", str(tmp_path / "s")]) == 0
+    assert "F = inf with dof (3, 12)" in capsys.readouterr().out
+    assert "F = inf with dof (3, 12)" in (tmp_path / "s" / "report.md").read_text()
 
 
 def test_cli_sweep_and_stats_commands(config_path, tmp_path):

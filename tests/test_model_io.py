@@ -261,8 +261,16 @@ def _rename_type(header):
     ({"edit_header": lambda h: h.update(version=2)}, "unsupported container version 2"),
     ({"edit_header": lambda h: h.update(version=3)}, "unsupported container version 3"),
     ({"edit_header": lambda h: h.update(version=4)}, "unsupported container version 4"),
+    ({"edit_header": lambda h: h.update(extra=1)}, "header: unknown key 'extra'"),
+    ({"edit_header": lambda h: h.update(format="not-a-model")},
+     "header: format must be one of ['randnet-model']"),
+    ({"edit_header": lambda h: h["model"]["weights"].update(__type__="RandomLayer")},
+     "shape record has keys other than __shape__: ['__shape__', '__type__']"),
+    ({"edit_header": lambda h: h["model"]["weights"].update(junk=1)},
+     "shape record has keys other than __shape__: ['__shape__', 'junk']"),
 ], ids=["short_payload", "long_payload", "digest_mismatch", "unknown_type",
-        "missing_field", "version_1", "version_2", "version_3", "version_4"])
+        "missing_field", "version_1", "version_2", "version_3", "version_4",
+        "extra_header_key", "wrong_format", "typed_shape", "shape_junk"])
 def test_defective_file_fails_loudly(blobs, tmp_path, edit, message):
     X, Y = blobs
     p = tmp_path / "m.rnm"
@@ -272,6 +280,24 @@ def test_defective_file_fails_loudly(blobs, tmp_path, edit, message):
         load_model(p)
     assert str(p) in str(err.value)
     assert message in str(err.value)
+
+
+def test_every_truncation_and_header_byte_substitution_fails_loudly(blobs, tmp_path):
+    # each byte of the header is read exactly: a one-byte change either
+    # breaks the JSON or yields a key, value or digest the loader refuses
+    X, Y = blobs
+    p = tmp_path / "m.rnm"
+    save_model(rvfl_train(X, Y, width=4, lam=[0.1], seed=1)[0], p)
+    raw = p.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    variants = [raw[:n] for n in range(len(raw))]
+    variants += [raw[:i] + bytes([c]) + raw[i + 1:] for i in range(16, 16 + hlen)
+                 for c in b' "0,.19:[]aefu{}' if raw[i] != c]
+    for blob in variants:
+        p.write_bytes(blob)
+        with pytest.raises(ValueError) as err:
+            load_model(p)
+        assert str(p) in str(err.value)
 
 
 @pytest.mark.parametrize("depth", [500, 100_000])

@@ -1,4 +1,6 @@
+import io
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randnet import solvers
+from randnet import numerics, solvers
 from randnet.numerics import NumericError, RngState, ShapeError, blas_libraries, blas_threads
 from randnet.shallow import rvfl_train
 from randnet.solvers import (
@@ -493,6 +495,64 @@ def test_numpy_lapack_is_bound_on_ilp64_scipy_openblas():
     numpy_blas = [name for name, getter, _ in blas_libraries()
                   if getter.__name__ == "scipy_openblas_get_num_threads64_"]
     assert numpy_blas == [solvers.NUMPY_LAPACK.library]
+
+
+# file name and (prefix, suffix) of the symbols of each OpenBLAS build
+FAKE_BUILDS = {
+    "libscipy_openblas64_.so": ("scipy_", "64_"),  # numpy 2
+    "libscipy_openblas.so": ("scipy_", ""),  # scipy
+    "libopenblas64_p-r0.so": ("", "64_"),  # numpy 1.x
+    "libopenblas.so.0": ("", ""),  # a system build
+}
+
+
+class FakeOpenBlas:
+    """A library exporting the thread-count routines, which keep a count,
+    and the five LAPACK routines the binding needs, under one decoration."""
+
+    def __init__(self, prefix, suffix):
+        self.threads = 4
+        routines = {"openblas_get_num_threads": lambda: self.threads,
+                    "openblas_set_num_threads": lambda n: setattr(self, "threads", n)}
+        routines.update({f"{name}_": lambda *args: None for name in solvers._LAPACK_SIGNATURES})
+        for name, fn in routines.items():
+            setattr(self, f"{prefix}{name}{suffix}", fn)
+
+
+def fake_walk(monkeypatch, libs):
+    """Make the /proc/self/maps walk map and load exactly libs, {file name: library}."""
+    maps = "".join(f"7f00-7f80 r-xp 00000000 08:01 42 /usr/lib/{name}\n" for name in libs)
+    monkeypatch.setattr(numerics, "open", lambda path: io.StringIO(maps), raising=False)
+    monkeypatch.setattr(numerics.ctypes, "CDLL", lambda path: libs[Path(path).name])
+
+
+@pytest.mark.parametrize("build", sorted(FAKE_BUILDS))
+def test_each_openblas_build_yields_its_thread_routines_and_ilp64_its_lapack(monkeypatch,
+                                                                              build):
+    prefix, suffix = FAKE_BUILDS[build]
+    lib = FakeOpenBlas(prefix, suffix)
+    fake_walk(monkeypatch, {build: lib})
+    ((name, getter, setter),) = blas_libraries()
+    assert name == build
+    assert getter is getattr(lib, f"{prefix}openblas_get_num_threads{suffix}")
+    assert setter is getattr(lib, f"{prefix}openblas_set_num_threads{suffix}")
+    bound = solvers._bind_numpy_lapack()
+    if suffix == "64_":  # the binding passes 64-bit integers
+        assert bound.library == build
+        assert all(fn is getattr(lib, f"{prefix}{routine}_{suffix}")
+                   for routine, fn in bound._fn.items())
+    else:
+        assert bound is None
+    delattr(lib, f"{prefix}dlange_{suffix}")
+    assert solvers._bind_numpy_lapack() is None
+
+
+def test_blas_threads_sets_every_library_the_walk_reports(monkeypatch):
+    libs = {build: FakeOpenBlas(*decoration) for build, decoration in FAKE_BUILDS.items()}
+    fake_walk(monkeypatch, libs)
+    with blas_threads(3):
+        assert {build: lib.threads for build, lib in libs.items()} == dict.fromkeys(libs, 3)
+    assert {build: lib.threads for build, lib in libs.items()} == dict.fromkeys(libs, 4)
 
 
 def test_ill_conditioned_solve_warns():
