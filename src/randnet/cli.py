@@ -33,8 +33,6 @@ def build_parser():
     bench.add_argument("--out", required=True)
     bench.add_argument("--resume", action="store_true",
                        help="skip cells recorded in the run manifest")
-    bench.add_argument("--parallel", type=int, default=None,
-                       help="override the config's parallelism degree")
 
     stats = sub.add_parser("stats", help="rank report from a results CSV")
     stats.add_argument("--results", required=True)
@@ -66,13 +64,7 @@ def main(argv=None):
             print(f"model: {model_path}")
             print(f"test accuracy: {res.test_accuracy:.4f}")
         elif args.command == "bench":
-            cfg = load_config(args.config)
-            if args.parallel is not None:
-                if args.parallel < 1:
-                    raise ConfigError(
-                        f"--parallel must be at least 1, got {args.parallel}")
-                cfg.parallelism = args.parallel
-            results = run_bench(cfg, args.out, resume=args.resume)
+            results = run_bench(load_config(args.config), args.out, resume=args.resume)
             print(f"results: {results}")
         elif args.command == "stats":
             if args.alpha not in Q_TABLE:

@@ -26,6 +26,7 @@ from .shallow import predict as shallow_predict
 from .solvers import KernelSpec
 
 CONNECTIVITIES = ("plain", "direct", "dense")
+MAX_KERNEL_ROWS = 4096  # training rows a kernel stack may factorize
 
 
 class ResourceError(RuntimeError):
@@ -134,17 +135,17 @@ def deep_predict_path(models, X):
     return [shallow_predict(m.classifier, F, check_input=False) for m in models]
 
 
-def mlkelm_train(X, Y, spec, lam, layers, max_train_rows=4096, seed=0):
+def mlkelm_train(X, Y, spec, lam, layers, seed=0):
     """Kernel stack: each of the layers and the classifier is a kernel-ridge
     map with the one kernel spec and weight lam.
 
     Training factorizes an n-by-n kernel matrix per layer, so n is
-    capped: exceeding max_train_rows raises instead of thrashing.
+    capped: exceeding MAX_KERNEL_ROWS raises instead of thrashing.
     """
     n = X.shape[0]
-    if n > max_train_rows:
+    if n > MAX_KERNEL_ROWS:
         raise ResourceError(
-            f"{n} training rows exceed the cap of {max_train_rows}: the kernel "
+            f"{n} training rows exceed the cap of {MAX_KERNEL_ROWS}: the kernel "
             f"stack needs O(n^2) memory per layer"
         )
     cfg = DeepConfig(

@@ -29,7 +29,6 @@ PARAMS = {
     "alpha_mix": (0.5, (lambda v: is_number(v) and 0 <= v <= 1, "a number in [0, 1]")),
     "activation": ("sigmoid", ACTIVATION),
     "solver_iters": (500, _COUNT),  # FISTA/ADMM budget inside autoencoders
-    "max_train_rows": (4096, _COUNT),  # kernel-stack guard
 }
 DEFAULT_PARAMS = {key: default for key, (default, _) in PARAMS.items()}
 PARAM_RULES = {key: rule for key, (_, rule) in PARAMS.items()}
@@ -115,7 +114,7 @@ def _decoder_reg(method, lam, params):
         return L1Config(lam=lam, max_iters=iters, tol=1e-8)
     if method.ae_reg == "elastic":
         return ElasticNetConfig(lam=lam, alpha_mix=params["alpha_mix"],
-                                max_iters=iters, tol_primal=1e-8, tol_dual=1e-8)
+                                max_iters=iters, tol=1e-8)
     return RidgeConfig(lam=lam)
 
 
@@ -172,8 +171,8 @@ def train_group(method, group, X, Y, seed):
                           [int(p["clf_width"]) for p in group])
     kernel = KernelSpec("rbf", sigma=params["sigma"])
     if method.family == "kernel_stack":
-        return [mlkelm_train(X, Y, kernel, 1.0 / p["C"], int(p["layers"]),
-                             int(p["max_train_rows"]), seed) for p in group]
+        return [mlkelm_train(X, Y, kernel, 1.0 / p["C"], int(p["layers"]), seed)
+                for p in group]
     return train_classifier(method.classifier, X, Y, [1.0 / p["C"] for p in group],
                             int(params["clf_width"]), seed, params["activation"], kernel)
 

@@ -1,14 +1,16 @@
 """Versioned binary container for trained models.
 
-Layout: the 8-byte magic ``RNMODEL1``, an 8-byte little-endian length,
-a JSON header (sorted keys, no whitespace), then every array as raw
-little-endian float64, row-major, in field order, depth first. In the
-header each dataclass is an object tagged with ``__type__`` and each
-array is ``{"__shape__": [...]}``; the header also records the payload's
-byte count and SHA-256. No time or platform fact goes in, so the same
-seed, config, BLAS build and thread count reproduce the file exactly.
-The loader reads the header exactly: its five keys and no other, and a
-shape record with no key but ``__shape__``.
+Layout: the 8-byte magic ``RNMODEL6`` (its last byte is the format
+version), the 32-byte SHA-256 of every byte after it, an 8-byte
+little-endian length, the model JSON (sorted keys, no whitespace), then
+every array as raw little-endian float64, row-major, in field order,
+depth first. In the JSON each dataclass is an object tagged with
+``__type__`` and each array is ``{"__shape__": [...]}``. No time or
+platform fact goes in, so the same seed, config, BLAS build and thread
+count reproduce the file exactly. The loader checks the magic, then the
+digest, before it reads any JSON; a re-signed file must still pass the
+field rules of every dataclass, exact shape records and a payload that
+the shapes use up exactly.
 
 Artifacts (models here; the bench manifest and result CSVs in the
 harness) are written through ``replace_atomically``, so a crash or a
@@ -18,7 +20,6 @@ failed write never leaves a torn file in place of the old one.
 import hashlib
 import json
 import os
-import re
 import struct
 import threading
 from contextlib import contextmanager
@@ -28,28 +29,17 @@ from pathlib import Path
 import numpy as np
 
 from .autoencoders import EncoderWeights
-from .data import MAPPING, ScalingStats, checked, integer, is_integer, one_of
+from .data import ScalingStats
 from .deep import DeepModel, deep_predict
 from .shallow import RandomLayer, ShallowModel, predict
 from .solvers import KernelMap, KernelSpec
 
-MAGIC = b"RNMODEL1"
-FORMAT_VERSION = 5
+MAGIC = b"RNMODEL6"
 
 # every dataclass reachable from ShallowModel and DeepModel; load builds no other
 REGISTRY = {cls.__name__: cls for cls in (
     ShallowModel, RandomLayer, KernelMap, KernelSpec, DeepModel, EncoderWeights, ScalingStats,
 )}
-
-# the header's top-level keys; every one is required and no other is read
-_HEADER_RULES = {
-    "format": one_of("randnet-model"),
-    "version": (is_integer, "an integer"),
-    "payload_bytes": integer(0),
-    "sha256": (lambda v: isinstance(v, str) and re.fullmatch("[0-9a-f]{64}", v) is not None,
-               "64 hex characters"),
-    "model": MAPPING,
-}
 
 
 @contextmanager
@@ -102,7 +92,7 @@ def _from_doc(doc, take):
     odd = sorted(set(doc) ^ {"__type__", *(f.name for f in fields(cls))})
     if odd:
         raise ValueError(f"{cls.__name__} has missing or unknown fields {odd}")
-    # field order, not the header's sorted key order, is the array order
+    # field order, not the JSON's sorted key order, is the array order
     return cls(**{f.name: _from_doc(doc[f.name], take) for f in fields(cls)})
 
 
@@ -111,17 +101,15 @@ def save_model(model, path):
     if not isinstance(model, (ShallowModel, DeepModel)):
         raise TypeError(f"cannot serialize {type(model).__name__}")
     arrays = []
-    doc = _to_doc(model, arrays)
-    digest = hashlib.sha256()
+    blob = json.dumps(_to_doc(model, arrays), sort_keys=True, separators=(",", ":")).encode()
+    head = struct.pack("<Q", len(blob)) + blob
+    digest = hashlib.sha256(head)
     for a in arrays:
         digest.update(a)
-    header = {"format": "randnet-model", "version": FORMAT_VERSION,
-              "payload_bytes": sum(a.nbytes for a in arrays),
-              "sha256": digest.hexdigest(), "model": doc}
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with replace_atomically(path, "wb") as fh:
-        fh.write(MAGIC + struct.pack("<Q", len(blob)) + blob)
-        fh.writelines(a.tobytes() for a in arrays)
+        fh.write(MAGIC + digest.digest() + head)
+        for a in arrays:
+            fh.write(a)
 
 
 def load_model(path):
@@ -132,7 +120,7 @@ def load_model(path):
     except (TypeError, ValueError, struct.error) as exc:
         raise ValueError(f"{path}: {exc}") from None
     except RecursionError:
-        raise ValueError(f"{path}: header nests too deeply to read") from None
+        raise ValueError(f"{path}: model JSON nests too deeply to read") from None
     try:  # a tampered model may lack these arrays; each has a column per input feature
         deep = isinstance(model, DeepModel)
         first = model.encoders[0] if deep else model
@@ -146,19 +134,12 @@ def load_model(path):
 
 def _parse(raw):
     if raw[:8] != MAGIC:
-        raise ValueError("not a model container")
-    (hlen,) = struct.unpack("<Q", raw[8:16])
-    header = json.loads(bytes(raw[16:16 + hlen]))
-    version = header.get("version") if isinstance(header, dict) else None
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported container version {version}")
-    checked(header, _HEADER_RULES, lambda message, _: ValueError(f"header: {message}"),
-            required=_HEADER_RULES)
-    payload = raw[16 + hlen:]
-    if len(payload) != header["payload_bytes"]:
-        raise ValueError(f"payload is {len(payload)} bytes, not {header['payload_bytes']}")
-    if hashlib.sha256(payload).hexdigest() != header["sha256"]:
-        raise ValueError("payload SHA-256 does not match the header")
+        raise ValueError(f"not a model container with magic {MAGIC.decode()}")
+    if hashlib.sha256(raw[40:]).digest() != raw[8:40]:
+        raise ValueError("SHA-256 does not match the file's contents")
+    (jlen,) = struct.unpack("<Q", raw[40:48])
+    doc = json.loads(bytes(raw[48:48 + jlen]))
+    payload = raw[48 + jlen:]
     pos = 0
 
     def take(shape):
@@ -166,7 +147,7 @@ def _parse(raw):
         a = np.ndarray(shape, dtype="<f8", buffer=payload, offset=pos)
         pos += a.nbytes
         return a.astype(np.float64)
-    model = _from_doc(header["model"], take)
+    model = _from_doc(doc, take)
     if pos != len(payload) or not isinstance(model, (ShallowModel, DeepModel)):
-        raise ValueError("header does not describe one model and its payload")
+        raise ValueError("model JSON does not describe one model and its payload")
     return model

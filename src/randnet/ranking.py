@@ -73,11 +73,17 @@ def rank_rows(accuracy, methods=(), datasets=()):
                      tuple(datasets))
 
 
-def friedman_chi2(mean_ranks, M, m):
-    """chi2 = 12 M / (m (m + 1)) * (sum R_j^2 - m (m + 1)^2 / 4)."""
+def _mean_ranks(mean_ranks):
+    """The mean ranks as a float array and their count m."""
     mean_ranks = np.asarray(mean_ranks, dtype=np.float64)
-    if mean_ranks.shape != (m,):
-        raise ValueError(f"expected {m} mean ranks, got {mean_ranks.shape}")
+    if mean_ranks.ndim != 1:
+        raise ValueError(f"expected a 1-D array of mean ranks, got shape {mean_ranks.shape}")
+    return mean_ranks, len(mean_ranks)
+
+
+def friedman_chi2(mean_ranks, M):
+    """chi2 = 12 M / (m (m + 1)) * (sum R_j^2 - m (m + 1)^2 / 4) over m methods."""
+    mean_ranks, m = _mean_ranks(mean_ranks)
     if M < 2 or m < 2:
         raise ValueError("need M >= 2 datasets and m >= 2 methods")
     return float(
@@ -125,9 +131,9 @@ def nemenyi_cd(m, M, alpha=0.05):
     return nemenyi_q(m, alpha) * float(np.sqrt(m * (m + 1.0) / (6.0 * M)))
 
 
-def pairwise_significance(mean_ranks, M, m, alpha=0.05, methods=()):
+def pairwise_significance(mean_ranks, M, alpha=0.05, methods=()):
     """better/worse where mean ranks differ by at least the critical difference."""
-    mean_ranks = np.asarray(mean_ranks, dtype=np.float64)
+    mean_ranks, m = _mean_ranks(mean_ranks)
     cd = nemenyi_cd(m, M, alpha)
     entries = np.full((m, m), "none", dtype=object)
     for i in range(m):
@@ -149,9 +155,9 @@ def significance_marks(sig):
 def rank_report(table, alpha=0.05):
     """Everything cmd_stats prints: ranks, chi2, F, dof, critical values, CD."""
     M, m = table.n_datasets, table.n_methods
-    chi2 = friedman_chi2(table.mean_ranks, M, m)
+    chi2 = friedman_chi2(table.mean_ranks, M)
     f_value, dof = friedman_f(chi2, M, m)
-    sig = pairwise_significance(table.mean_ranks, M, m, alpha, table.methods)
+    sig = pairwise_significance(table.mean_ranks, M, alpha, table.methods)
     return {
         "M": M,
         "m": m,

@@ -73,13 +73,12 @@ class ElasticNetConfig:
     lam: float = 1.0
     alpha_mix: float = 0.5  # proportion of l1 in the penalty
     max_iters: int = 5000
-    tol_primal: float = 1e-10
-    tol_dual: float = 1e-10
+    tol: float = 1e-10  # relative primal and dual residual
 
     def __post_init__(self):
         mix = (lambda v: is_number(v) and 0 <= v <= 1, "in [0, 1]")
         check_fields(self, {"lam": POSITIVE, "alpha_mix": mix, "max_iters": integer(1),
-                            "tol_primal": POSITIVE, "tol_dual": POSITIVE}, "elastic-net ")
+                            "tol": POSITIVE}, "elastic-net ")
 
 
 @dataclass
@@ -518,8 +517,8 @@ def admm_elastic_net(H, T, cfg):
         U = U + W - Z
         r = float(np.linalg.norm(W - Z))
         s = rho * float(np.linalg.norm(Z - Z_prev))
-        eps_pri = cfg.tol_primal * (size + max(np.linalg.norm(W), np.linalg.norm(Z)))
-        eps_dual = cfg.tol_dual * (size + rho * np.linalg.norm(U))
+        eps_pri = cfg.tol * (size + max(np.linalg.norm(W), np.linalg.norm(Z)))
+        eps_dual = cfg.tol * (size + rho * np.linalg.norm(U))
         if r <= eps_pri and s <= eps_dual:
             converged = True
             break

@@ -63,18 +63,18 @@ class budget:
 
 def test_criterion_1_statistics_reproduction():
     with budget(1.0):
-        chi2_a = friedman_chi2((3.9, 2.75, 1.8, 1.55), 20, 4)
+        chi2_a = friedman_chi2((3.9, 2.75, 1.8, 1.55), 20)
         assert chi2_a == pytest.approx(40.98, abs=0.01)
         f_a, dof = friedman_f(chi2_a, 20, 4)
         assert f_a == pytest.approx(40.93, abs=0.05)
         assert dof == (3, 57)
 
-        chi2_b = friedman_chi2((3.8, 2.95, 1.8, 1.45), 20, 4)
+        chi2_b = friedman_chi2((3.8, 2.95, 1.8, 1.45), 20)
         assert chi2_b == pytest.approx(41.82, abs=0.01)
         f_b, _ = friedman_f(chi2_b, 20, 4)
         assert f_b == pytest.approx(43.7, abs=0.05)
 
-        chi2_c = friedman_chi2((3.77, 2.65, 1.95, 1.62), 20, 4)
+        chi2_c = friedman_chi2((3.77, 2.65, 1.95, 1.62), 20)
         assert chi2_c == pytest.approx(31.95, abs=0.05)
 
 
@@ -106,7 +106,7 @@ def expected_significance_pattern():
 
 def test_criterion_3_significance_matrix_regression():
     with budget(1.0):
-        sig = pairwise_significance(JOINT_RANKS, 20, 15, 0.05)
+        sig = pairwise_significance(JOINT_RANKS, 20, 0.05)
         assert sig.cd == pytest.approx(4.79, abs=0.01)
         np.testing.assert_array_equal(significance_marks(sig),
                                       expected_significance_pattern())
@@ -133,7 +133,7 @@ def test_criterion_4_solver_oracle_equivalence():
             gap = abs(fista.objective - lasso_objective_value(H, T, w_cd, lam))
             assert gap <= 1e-6
 
-            tight = dict(max_iters=20000, tol_primal=1e-12, tol_dual=1e-12)
+            tight = dict(max_iters=20000, tol=1e-12)
             a0 = admm_elastic_net(H, T, ElasticNetConfig(lam=lam, alpha_mix=0.0,
                                                          **tight))
             ridge_ref = ridge_primal(H, T, [lam / 2.0])[0]

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import randnet.harness
 import randnet.numerics
-from randnet.cli import main
+from randnet.cli import build_parser, main
 from randnet.config import ConfigError, load_config
 from randnet.data import DataFormatError, load_manifest
 from randnet.harness import (
@@ -28,8 +28,8 @@ from randnet.harness import (
     run_train,
     write_results_csv,
 )
-from randnet.methods import DEFAULT_PARAMS
-from randnet.numerics import blas_thread_counts, blas_threads
+from randnet.methods import DEFAULT_PARAMS, PARAMS
+from randnet.numerics import ACTIVATION_NAMES, blas_thread_counts, blas_threads
 
 from oracles import sweep_per_point
 
@@ -144,8 +144,9 @@ def test_config_validates_grid_at_load(tmp_path, grid, message):
     ("{C: .inf}", "param C must be finite, got inf"),
     ("{sigma: .inf}", "param sigma must be finite, got inf"),
     ("{noise: .inf}", "param noise must be finite, got inf"),
+    ("{max_train_rows: 100}", "unknown key 'max_train_rows'"),
 ], ids=["activation", "C", "sigma", "clf_width", "layers", "solver_iters", "noise",
-        "alpha_mix", "C_inf", "sigma_inf", "noise_inf"])
+        "alpha_mix", "C_inf", "sigma_inf", "noise_inf", "max_train_rows"])
 def test_config_validates_param_values_at_load(tmp_path, params, message):
     # a bad value used to load and fail every cell of its method at run time
     key = params[1:].split(":")[0]
@@ -590,15 +591,6 @@ def test_bench_without_known_blas_logs_once(config_path, tmp_path, monkeypatch,
     assert not any(r["error"] for r in read_results_csv(results))
 
 
-@pytest.mark.parametrize("value", ["0", "-3"])
-def test_cli_bench_rejects_parallel_below_one(config_path, tmp_path, value, capsys):
-    rc = main(["bench", "--config", str(config_path), "--out", str(tmp_path / "b"),
-               "--parallel", value])
-    assert rc == 2
-    assert "--parallel" in capsys.readouterr().err
-    assert not (tmp_path / "b").exists()
-
-
 def test_bench_records_failed_cells_and_continues(config_path, tmp_path):
     cfg = load_config(config_path)
     # sabotage one method via a non-axis param the grid cannot override
@@ -721,7 +713,7 @@ def test_stats_consistent_with_ranking_ops(config_path, tmp_path):
     _, _, matrix = accuracy_matrix(read_results_csv(results))
     table = rank_rows(matrix)
     assert out["stats"]["chi2"] == pytest.approx(
-        friedman_chi2(table.mean_ranks, *matrix.shape))
+        friedman_chi2(table.mean_ranks, len(matrix)))
 
 
 class TornFile:
@@ -870,3 +862,21 @@ def test_cli_sweep_and_stats_commands(config_path, tmp_path):
     assert main(["sweep", "--config", str(config_path), "--dataset", "blobs",
                  "--method", "rvfl", "--axes", "C",
                  "--out", str(tmp_path / "w")]) == 0
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_readme_names_exactly_the_cli_flags_and_params():
+    # README's CLI synopsis and its params bullet list what the parser and
+    # methods.PARAMS define, no more and no less
+    readme = (ROOT / "README.md").read_text()
+    synopsis = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    usages = dict(re.findall(r"^randnet (\w+) (.*?)(?=^randnet |\Z)", synopsis, re.S | re.M))
+    (commands,) = [a.choices for a in build_parser()._actions if a.dest == "command"]
+    assert set(usages) == set(commands)
+    for name, parser in commands.items():
+        flags = {flag for a in parser._actions for flag in a.option_strings} - {"-h", "--help"}
+        assert set(re.findall(r"--[\w-]+", usages[name])) == flags, name
+    params = re.search(r"In `params`,(.*?)Each `grid` axis", readme, re.S).group(1)
+    assert set(re.findall(r"`(\w+)`", params)) - set(ACTIVATION_NAMES) == set(PARAMS)

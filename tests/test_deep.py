@@ -157,10 +157,10 @@ def test_mlkelm_near_identity_first_layer(blobs):
 
 def test_mlkelm_cap_guard(blobs):
     X, Y, _ = blobs
-    big_X = np.tile(X, (10, 1))
-    big_Y = np.tile(Y, (10, 1))
+    big_X = np.tile(X, (21, 1))  # 4,200 rows, past MAX_KERNEL_ROWS
+    big_Y = np.tile(Y, (21, 1))
     with pytest.raises(ResourceError, match="O\\(n\\^2\\)"):
-        mlkelm_train(big_X, big_Y, KernelSpec("rbf"), 0.1, 1, max_train_rows=1500)
+        mlkelm_train(big_X, big_Y, KernelSpec("rbf"), 0.1, 1)
 
 
 def test_mlkelm_deterministic(blobs):

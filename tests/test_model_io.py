@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import struct
@@ -226,51 +227,66 @@ def test_registry_covers_every_reachable_dataclass(blobs):
     assert all(REGISTRY[cls.__name__] is cls for cls in found)
 
 
-def _rewrite(path, edit_header=None, edit_payload=None):
+def _container(blob, payload, digest=None):
+    """A file of the model JSON blob and payload, signed unless a digest is given."""
+    rest = struct.pack("<Q", len(blob)) + blob + payload
+    return MAGIC + (digest or hashlib.sha256(rest).digest()) + rest
+
+
+def _split(raw):
+    """(model JSON bytes, payload bytes) of a container."""
+    (jlen,) = struct.unpack("<Q", raw[40:48])
+    return raw[48:48 + jlen], raw[48 + jlen:]
+
+
+def _rewrite(path, edit_model=None, edit_payload=None, sign=True):
+    # sign=True re-signs the edit, as a writer who knows the layout can,
+    # so it reaches the field rules and the probe; sign=False keeps the old digest
     raw = path.read_bytes()
-    (hlen,) = struct.unpack("<Q", raw[8:16])
-    header = json.loads(raw[16:16 + hlen])
-    payload = raw[16 + hlen:]
-    if edit_header:
-        edit_header(header)
+    blob, payload = _split(raw)
+    doc = json.loads(blob)
+    if edit_model:
+        edit_model(doc)
     if edit_payload:
         payload = edit_payload(payload)
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + payload)
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(_container(blob, payload, None if sign else raw[8:40]))
 
 
 def _flip_last_byte(payload):
     return payload[:-1] + bytes([payload[-1] ^ 1])
 
 
-def _drop_direct_links(header):
-    del header["model"]["direct_links"]
+def _drop_direct_links(model):
+    del model["direct_links"]
 
 
-def _rename_type(header):
-    header["model"]["__type__"] = "Dataset"
+def _rename_type(model):
+    model["__type__"] = "Dataset"
+
+
+def _linear_layer(model):
+    model["layer"]["activation"] = "linear"
 
 
 @pytest.mark.parametrize("edit, message", [
-    ({"edit_payload": lambda p: p[:-8]}, "payload is"),
-    ({"edit_payload": lambda p: p + b"junk"}, "payload is"),
-    ({"edit_payload": _flip_last_byte}, "SHA-256"),
-    ({"edit_header": _rename_type}, "unknown __type__ 'Dataset'"),
-    ({"edit_header": _drop_direct_links}, "missing or unknown fields ['direct_links']"),
-    ({"edit_header": lambda h: h.update(version=1)}, "unsupported container version 1"),
-    ({"edit_header": lambda h: h.update(version=2)}, "unsupported container version 2"),
-    ({"edit_header": lambda h: h.update(version=3)}, "unsupported container version 3"),
-    ({"edit_header": lambda h: h.update(version=4)}, "unsupported container version 4"),
-    ({"edit_header": lambda h: h.update(extra=1)}, "header: unknown key 'extra'"),
-    ({"edit_header": lambda h: h.update(format="not-a-model")},
-     "header: format must be one of ['randnet-model']"),
-    ({"edit_header": lambda h: h["model"]["weights"].update(__type__="RandomLayer")},
+    ({"edit_payload": lambda p: p[:-8], "sign": False}, "SHA-256"),
+    ({"edit_payload": lambda p: p + b"junk", "sign": False}, "SHA-256"),
+    ({"edit_payload": _flip_last_byte, "sign": False}, "SHA-256"),
+    ({"edit_model": _linear_layer, "sign": False}, "SHA-256"),
+    ({"edit_payload": lambda p: p[:-8]}, "buffer is too small"),
+    ({"edit_payload": lambda p: p + b"junk"}, "does not describe one model and its payload"),
+    ({"edit_model": _rename_type}, "unknown __type__ 'Dataset'"),
+    ({"edit_model": _drop_direct_links}, "missing or unknown fields ['direct_links']"),
+    ({"edit_model": lambda m: m.update(extra=1)},
+     "ShallowModel has missing or unknown fields ['extra']"),
+    ({"edit_model": lambda m: m["weights"].update(__type__="RandomLayer")},
      "shape record has keys other than __shape__: ['__shape__', '__type__']"),
-    ({"edit_header": lambda h: h["model"]["weights"].update(junk=1)},
+    ({"edit_model": lambda m: m["weights"].update(junk=1)},
      "shape record has keys other than __shape__: ['__shape__', 'junk']"),
-], ids=["short_payload", "long_payload", "digest_mismatch", "unknown_type",
-        "missing_field", "version_1", "version_2", "version_3", "version_4",
-        "extra_header_key", "wrong_format", "typed_shape", "shape_junk"])
+], ids=["unsigned_short_payload", "unsigned_long_payload", "digest_mismatch",
+        "unsigned_linear_activation", "short_payload", "long_payload", "unknown_type",
+        "missing_field", "extra_model_key", "typed_shape", "shape_junk"])
 def test_defective_file_fails_loudly(blobs, tmp_path, edit, message):
     X, Y = blobs
     p = tmp_path / "m.rnm"
@@ -282,19 +298,42 @@ def test_defective_file_fails_loudly(blobs, tmp_path, edit, message):
     assert message in str(err.value)
 
 
+def test_v5_file_is_refused(blobs, tmp_path):
+    # the previous layout: magic RNMODEL1, length, then a header holding
+    # the model JSON beside its format, version and payload length and digest
+    X, Y = blobs
+    p = tmp_path / "m.rnm"
+    save_model(rvfl_train(X, Y, width=10, lam=[0.1], seed=1)[0], p)
+    blob, payload = _split(p.read_bytes())
+    header = {"format": "randnet-model", "model": json.loads(blob),
+              "payload_bytes": len(payload), "sha256": hashlib.sha256(payload).hexdigest(),
+              "version": 5}
+    header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    p.write_bytes(b"RNMODEL1" + struct.pack("<Q", len(header)) + header + payload)
+    with pytest.raises(ValueError, match="not a model container with magic RNMODEL6") as err:
+        load_model(p)
+    assert str(p) in str(err.value)
+
+
 def test_every_truncation_and_header_byte_substitution_fails_loudly(blobs, tmp_path):
-    # each byte of the header is read exactly: a one-byte change either
-    # breaks the JSON or yields a key, value or digest the loader refuses
+    # the digest covers every byte after it: each truncation, every value of
+    # each digest and length byte, each model JSON byte swapped within a
+    # JSON alphabet and each payload byte with one bit flipped fails to load
     X, Y = blobs
     p = tmp_path / "m.rnm"
     save_model(rvfl_train(X, Y, width=4, lam=[0.1], seed=1)[0], p)
     raw = p.read_bytes()
-    (hlen,) = struct.unpack("<Q", raw[8:16])
+    blob, _ = _split(raw)
+    json_end = 48 + len(blob)
+
+    def changed(i, values):
+        return [raw[:i] + bytes([c]) + raw[i + 1:] for c in values if raw[i] != c]
     variants = [raw[:n] for n in range(len(raw))]
-    variants += [raw[:i] + bytes([c]) + raw[i + 1:] for i in range(16, 16 + hlen)
-                 for c in b' "0,.19:[]aefu{}' if raw[i] != c]
-    for blob in variants:
-        p.write_bytes(blob)
+    variants += [v for i in range(8, 48) for v in changed(i, range(256))]
+    variants += [v for i in range(48, json_end) for v in changed(i, b' "0,.19:[]aefu{}')]
+    variants += [v for i in range(json_end, len(raw)) for v in changed(i, [raw[i] ^ 1])]
+    for variant in variants:
+        p.write_bytes(variant)
         with pytest.raises(ValueError) as err:
             load_model(p)
         assert str(p) in str(err.value)
@@ -302,17 +341,15 @@ def test_every_truncation_and_header_byte_substitution_fails_loudly(blobs, tmp_p
 
 @pytest.mark.parametrize("depth", [500, 100_000])
 def test_deeply_nested_header_fails_loudly(blobs, tmp_path, depth):
-    # 500 levels were a RecursionError in the header walk, 100,000 one in
+    # 500 levels were a RecursionError in the model JSON walk, 100,000 one in
     # json itself; either is a defect of the file
     X, Y = blobs
     p = tmp_path / "m.rnm"
     save_model(rvfl_train(X, Y, width=10, lam=[0.1], seed=1)[0], p)
-    raw = p.read_bytes()
-    (hlen,) = struct.unpack("<Q", raw[8:16])
+    blob, payload = _split(p.read_bytes())
     nested = b'"kernel_map":' + b"[" * depth + b"]" * depth
-    header = raw[16:16 + hlen].replace(b'"kernel_map":null', nested)
-    p.write_bytes(MAGIC + struct.pack("<Q", len(header)) + header + raw[16 + hlen:])
-    with pytest.raises(ValueError, match="header nests too deeply") as err:
+    p.write_bytes(_container(blob.replace(b'"kernel_map":null', nested), payload))
+    with pytest.raises(ValueError, match="model JSON nests too deeply") as err:
         load_model(p)
     assert str(p) in str(err.value)
 
@@ -380,7 +417,7 @@ def test_tampered_spec_value_fails_load(blobs, tmp_path, sigma):
     X, Y = blobs
     p = tmp_path / "m.rnm"
     save_model(kelm_train(X, Y, KernelSpec("rbf", sigma=1.3), [0.2])[0], p)
-    _rewrite(p, edit_header=lambda h: h["model"]["kernel_map"]["spec"].update(sigma=sigma))
+    _rewrite(p, edit_model=lambda m: m["kernel_map"]["spec"].update(sigma=sigma))
     with pytest.raises(ValueError, match="sigma must be > 0 and finite") as err:
         load_model(p)
     assert str(p) in str(err.value)
@@ -419,18 +456,17 @@ BAD_VALUES = [True, "bogus", float("inf"), -1, 2.5, None, 0,
 
 @pytest.mark.parametrize("case", sorted(TAMPER_CASES))
 def test_tampered_scalar_fails_load_or_predicts(blobs, tmp_path, case):
-    # each scalar of the header, in turn, set to each bad value: the load
+    # each scalar of the model JSON, in turn, set to each bad value (re-signed): the load
     # refuses it naming the file, or the model it gives still predicts
     X, Y = blobs
     p = tmp_path / "m.rnm"
     save_model(TAMPER_CASES[case](X, Y), p)
     clean = p.read_bytes()
-    (hlen,) = struct.unpack("<Q", clean[8:16])
     late = []
-    for path in _scalar_leaves(json.loads(clean[16:16 + hlen])):
+    for path in _scalar_leaves(json.loads(_split(clean)[0])):
         for bad in BAD_VALUES:
             p.write_bytes(clean)
-            _rewrite(p, edit_header=lambda h: _set_leaf(h, path, bad))
+            _rewrite(p, edit_model=lambda m: _set_leaf(m, path, bad))
             try:
                 model = load_model(p)
             except ValueError as err:
@@ -447,24 +483,23 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_readme_header_example_matches_a_trained_file(tmp_path):
-    # README quotes the header of this model; its sha256 is masked, since
-    # the payload bits depend on the BLAS build and thread count
+    # README quotes the start of this model file and its model JSON in
+    # full; only the digest bytes, which cover the payload bits, depend on
+    # the BLAS build and thread count, so they are not compared
     from randnet.cli import main
 
     assert main(["train", "--config", str(ROOT / "configs" / "demo.yaml"),
                  "--dataset", "blobs", "--method", "rvfl", "--out", str(tmp_path)]) == 0
     raw = next(tmp_path.glob("*.rnm")).read_bytes()
-    (hlen,) = struct.unpack("<Q", raw[8:16])
+    blob, payload = _split(raw)
     readme = (ROOT / "README.md").read_text()
-    quoted = re.search(r'```\n(\{"format":"randnet-model".*?)\n```', readme, re.S).group(1)
-
-    def mask(header):
-        return re.sub(r'"sha256":"[0-9a-f]{64}"', '"sha256":"?"', header)
-
-    assert mask(raw[16:16 + hlen].decode()) == mask(quoted.replace("\n", ""))
-    assert f"its {hlen}-byte header reads" in readme
-    assert f"(header is {hlen:#x} bytes)" in readme
-    assert f"followed by the {len(raw) - 16 - hlen:,}\npayload bytes" in readme
+    quoted = re.search(r'```\n(\{"__type__":"ShallowModel".*?)\n```', readme, re.S).group(1)
+    assert blob.decode() == quoted.replace("\n", "")
+    for start, end in ((0x00, 0x08), (0x28, 0x30), (0x30, 0x40)):
+        assert f"{start:#04x}  {raw[start:end].hex(' ')}" in readme
+    assert f"its {len(blob)}-byte model JSON reads" in readme
+    assert f"model JSON is {len(blob):#x} bytes" in readme
+    assert f"followed by the {len(payload):,} payload bytes" in " ".join(readme.split())
 
 
 def test_replace_atomically_keeps_old_file_on_failure(tmp_path):

@@ -59,14 +59,14 @@ def test_rank_rows_monotone_transform_invariance():
 
 
 def test_friedman_chi2_reported_values():
-    assert friedman_chi2((3.9, 2.75, 1.8, 1.55), 20, 4) == pytest.approx(40.98, abs=0.01)
-    assert friedman_chi2((3.8, 2.95, 1.8, 1.45), 20, 4) == pytest.approx(41.82, abs=0.01)
-    assert friedman_chi2((3.77, 2.65, 1.95, 1.62), 20, 4) == pytest.approx(31.95, abs=0.05)
-    assert friedman_chi2(JOINT_RANKS, 20, 15) == pytest.approx(171.24, abs=0.01)
+    assert friedman_chi2((3.9, 2.75, 1.8, 1.55), 20) == pytest.approx(40.98, abs=0.01)
+    assert friedman_chi2((3.8, 2.95, 1.8, 1.45), 20) == pytest.approx(41.82, abs=0.01)
+    assert friedman_chi2((3.77, 2.65, 1.95, 1.62), 20) == pytest.approx(31.95, abs=0.05)
+    assert friedman_chi2(JOINT_RANKS, 20) == pytest.approx(171.24, abs=0.01)
 
 
 def test_friedman_chi2_null_configuration():
-    assert friedman_chi2((2.5, 2.5, 2.5, 2.5), 20, 4) == pytest.approx(0.0, abs=1e-12)
+    assert friedman_chi2((2.5, 2.5, 2.5, 2.5), 20) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_friedman_chi2_nonnegative():
@@ -74,7 +74,17 @@ def test_friedman_chi2_nonnegative():
     for _ in range(20):
         acc = rng.uniform(0, 1, (6, 4))
         t = rank_rows(acc)
-        assert friedman_chi2(t.mean_ranks, 6, 4) >= -1e-12
+        assert friedman_chi2(t.mean_ranks, 6) >= -1e-12
+
+
+@pytest.mark.parametrize("ranks", [np.full((4, 1), 2.5), np.full((2, 2), 1.5), np.float64(1.0)],
+                         ids=["column", "matrix", "scalar"])
+def test_mean_ranks_must_be_one_dimensional(ranks):
+    # m is read from the mean ranks, so a table of another shape is refused
+    with pytest.raises(ValueError, match="expected a 1-D array of mean ranks"):
+        friedman_chi2(ranks, 20)
+    with pytest.raises(ValueError, match="expected a 1-D array of mean ranks"):
+        pairwise_significance(ranks, 20)
 
 
 def test_friedman_f_reported_values():
@@ -131,13 +141,13 @@ def test_nemenyi_cd_rejects_unsupported():
 
 def test_pairwise_boundary_is_inclusive():
     cd = nemenyi_cd(2, 6, 0.05)
-    sig = pairwise_significance((1.0, 1.0 + cd), 6, 2)
+    sig = pairwise_significance((1.0, 1.0 + cd), 6)
     assert sig.entries[0, 1] == "better"
     assert sig.entries[1, 0] == "worse"
 
 
 def test_pairwise_equal_ranks_none():
-    sig = pairwise_significance((2.0, 2.0, 5.0), 20, 3)
+    sig = pairwise_significance((2.0, 2.0, 5.0), 20)
     assert sig.entries[0, 1] == "none"
     assert sig.entries[1, 0] == "none"
 
@@ -145,7 +155,7 @@ def test_pairwise_equal_ranks_none():
 def test_pairwise_antisymmetry():
     rng = np.random.Generator(np.random.PCG64(3))
     ranks = np.sort(rng.uniform(1, 15, 15))
-    sig = pairwise_significance(ranks, 20, 15)
+    sig = pairwise_significance(ranks, 20)
     flip = {"better": "worse", "worse": "better", "none": "none"}
     for i in range(15):
         for j in range(15):
@@ -154,7 +164,7 @@ def test_pairwise_antisymmetry():
 
 def test_joint_significance_matrix_regression():
     # the full fifteen-method better/worse pattern at CD 4.79
-    sig = pairwise_significance(JOINT_RANKS, 20, 15, 0.05)
+    sig = pairwise_significance(JOINT_RANKS, 20, 0.05)
     marks = significance_marks(sig)
     expected = np.full((15, 15), "", dtype=object)
 
@@ -183,7 +193,7 @@ def test_rank_report_and_markdown_roundtrip():
     t = rank_rows(acc, methods=("a", "b", "c", "d"))
     report = rank_report(t)
     assert report["chi2"] == pytest.approx(
-        friedman_chi2(t.mean_ranks, 3, 4)
+        friedman_chi2(t.mean_ranks, 3)
     )
     text = report_markdown(t, report)
     assert "Mean rank" in text

@@ -275,7 +275,7 @@ def test_admm_residuals_respect_tolerances():
     res = admm_elastic_net(H, T, cfg)
     if res.converged:
         size = np.sqrt(res.weights.size)
-        assert res.primal_residual <= cfg.tol_primal * (
+        assert res.primal_residual <= cfg.tol * (
             size + np.linalg.norm(res.weights)
         ) + 1e-12
     else:
@@ -285,7 +285,7 @@ def test_admm_residuals_respect_tolerances():
 def test_admm_unconverged_flag():
     H, T = random_problem(28, 25, 7)
     res = admm_elastic_net(
-        H, T, ElasticNetConfig(lam=0.3, max_iters=2, tol_primal=1e-16, tol_dual=1e-16)
+        H, T, ElasticNetConfig(lam=0.3, max_iters=2, tol=1e-16)
     )
     assert not res.converged
 
@@ -312,9 +312,8 @@ def test_config_validation():
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
 @pytest.mark.parametrize("make", [
     lambda tol: L1Config(lam=1.0, tol=tol),
-    lambda tol: ElasticNetConfig(lam=1.0, tol_primal=tol),
-    lambda tol: ElasticNetConfig(lam=1.0, tol_dual=tol),
-], ids=["l1_tol", "elastic_tol_primal", "elastic_tol_dual"])
+    lambda tol: ElasticNetConfig(lam=1.0, tol=tol),
+], ids=["l1_tol", "elastic_tol"])
 def test_config_rejects_unreachable_tolerance(make, tol):
     # a tolerance that is not finite and > 0 can never be met, so the
     # solver would spend its whole budget and return unconverged
