@@ -42,22 +42,24 @@ def _walk_lines(node, lines, path):
 
 
 def load_yaml_with_lines(text):
-    # values come from safe_load; the composed node tree (identical
-    # structure) supplies line numbers for error reporting
+    # one parse, as safe_load runs it: the composed node tree gives the
+    # document and the line numbers for error reporting
+    loader = yaml.SafeLoader(text)
     try:
-        doc = yaml.safe_load(text)
-        root = yaml.compose(text)
+        root = loader.get_single_node()
+        if root is None:
+            return {}, {}
+        doc, lines = loader.construct_document(root), {}
+        _walk_lines(root, lines, ())
+        return doc, lines
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark else None
         raise ConfigError(f"YAML parse error: {exc}", line=line) from exc
     except RecursionError:  # the composer recurses once per nesting level
         raise ConfigError("YAML nests too deeply to read") from None
-    if root is None:
-        return {}, {}
-    lines = {}
-    _walk_lines(root, lines, ())
-    return doc, lines
+    finally:
+        loader.dispose()
 
 
 @dataclass

@@ -155,8 +155,8 @@ def average_ranks(x):
 
 
 # (prefix, suffix) each OpenBLAS build puts around a routine's name: numpy 2's
-# scipy-openblas64 (scipy_dposv_64_), scipy's scipy-openblas (scipy_dposv_), numpy
-# 1.x's openblas64_ (dposv_64_), a system OpenBLAS (dposv_). 64_ marks 64-bit integers.
+# scipy-openblas64 (scipy_dpotrf_64_), scipy's scipy-openblas (scipy_dpotrf_), numpy
+# 1.x's openblas64_ (dpotrf_64_), a system OpenBLAS (dpotrf_). 64_ marks 64-bit integers.
 OPENBLAS_DECORATIONS = (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", ""))
 _THREAD_ROUTINES = ("openblas_get_num_threads", "openblas_set_num_threads")
 

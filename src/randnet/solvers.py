@@ -14,23 +14,24 @@ result a list with one fit per value, in order; one fit is the path
 matrix, the right-hand side) is done once per path, and each fit is
 bitwise the one its lam gives alone.
 
-Every shifted system is solved by LAPACK ``posv`` (Cholesky factor and
-solve, upper triangle; Anderson et al., LAPACK Users' Guide, 1999), the
-same ``potrf`` + ``potrs`` that ``scipy.linalg.solve(assume_a="pos")``
-runs, so the bits are the same. The matrix and right-hand side are
-checked for finiteness once per path, not once per lam. A reciprocal
-condition number below machine epsilon emits scipy's ``LinAlgWarning``,
-and a failed Cholesky logs a warning and solves the system as symmetric
-indefinite instead.
+Every symmetric positive-definite system, each shifted system here and
+ADMM's W-update, is solved by LAPACK ``potrf`` + ``potrs`` (Cholesky
+factor and solve, upper triangle; Anderson et al., LAPACK Users' Guide,
+1999), the pair that ``scipy.linalg.solve(assume_a="pos")`` runs, so the
+bits are the same. A path's matrix and right-hand side are checked for
+finiteness once, not once per lam. A shifted system whose reciprocal
+condition number falls below machine epsilon emits scipy's
+``LinAlgWarning``; one whose Cholesky fails logs a warning and is solved
+as symmetric indefinite instead.
 
-The LAPACK routines (``posv`` here, ``potrf``/``potrs`` in ADMM) are
-those of numpy's own OpenBLAS, bound through ctypes, so that every
-product and every solve runs in one BLAS thread pool. scipy links a
-second OpenBLAS with its own pool; when a call into one library ends,
-its worker keeps spinning and takes a core from the other's next call.
-numpy's is the loaded OpenBLAS with 64-bit integers that exports them
-(see :func:`randnet.numerics.loaded_openblas`); where none does (a numpy
-built on another BLAS), the same routines run through ``scipy.linalg.lapack``.
+The LAPACK routines are those of numpy's own OpenBLAS, bound through
+ctypes, so that every product and every solve runs in one BLAS thread
+pool. scipy links a second OpenBLAS with its own pool; when a call into
+one library ends, its worker keeps spinning and takes a core from the
+other's next call. numpy's is the loaded OpenBLAS with 64-bit integers
+that exports them (see :func:`randnet.numerics.loaded_openblas`); where
+none does (a numpy built on another BLAS), the same routines run through
+``scipy.linalg.lapack``.
 """
 
 import ctypes
@@ -125,7 +126,6 @@ _CHAR, _INT, _ARRAY = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int64), ctypes.c_
 _DOUBLE, _LENGTH = ctypes.POINTER(ctypes.c_double), ctypes.c_size_t
 # argument types as gfortran passes them, a character's length last
 _LAPACK_SIGNATURES = {
-    "dposv": (_CHAR, _INT, _INT, _ARRAY, _INT, _ARRAY, _INT, _INT, _LENGTH),
     "dpotrf": (_CHAR, _INT, _ARRAY, _INT, _INT, _LENGTH),
     "dpotrs": (_CHAR, _INT, _INT, _ARRAY, _INT, _ARRAY, _INT, _INT, _LENGTH),
     "dpocon": (_CHAR, _INT, _ARRAY, _INT, _DOUBLE, _DOUBLE, _ARRAY, _ARRAY, _INT, _LENGTH),
@@ -139,7 +139,7 @@ class _NumpyLapack:
 
     The library uses 64-bit integers. Like scipy's wrappers, each routine
     overwrites fresh Fortran-order copies and returns them, unless
-    ``overwrite_a`` lets ``dposv`` factor a Fortran-order float64 matrix
+    ``overwrite_a`` lets ``dpotrf`` factor a Fortran-order float64 matrix
     in place; ``dpotrf`` leaves the lower triangle as it was, as
     ``scipy.linalg.cho_factor`` does.
     """
@@ -151,26 +151,20 @@ class _NumpyLapack:
         routines["dlange"].restype = ctypes.c_double
         self._fn = routines
 
-    def _solve(self, name, c, b):
-        x, info, n = _lapack_array(b, copy=True), ctypes.c_int64(), c.shape[0]
-        if x.shape[0] != n:
-            raise ShapeError(f"{name}: right-hand side has {x.shape[0]} rows, not {n}")
-        self._fn[name](b"U", _int(n), _int(x.shape[1]), c.ctypes.data, _int(max(1, n)),
-                       x.ctypes.data, _int(max(1, n)), ctypes.byref(info), 1)
-        return x, info.value
-
-    def dposv(self, a, b, overwrite_a=False):
-        c = _lapack_array(a, copy=not overwrite_a, square=True)
-        return (c, *self._solve("dposv", c, b))
-
-    def dpotrs(self, c, b):
-        return self._solve("dpotrs", _lapack_array(c, copy=False, square=True), b)
-
-    def dpotrf(self, a):
-        c, info = _lapack_array(a, copy=True, square=True), ctypes.c_int64()
+    def dpotrf(self, a, overwrite_a=False):
+        c, info = _lapack_array(a, copy=not overwrite_a, square=True), ctypes.c_int64()
         n = c.shape[0]
         self._fn["dpotrf"](b"U", _int(n), c.ctypes.data, _int(max(1, n)), ctypes.byref(info), 1)
         return c, info.value
+
+    def dpotrs(self, c, b):
+        c = _lapack_array(c, copy=False, square=True)
+        x, info, n = _lapack_array(b, copy=True), ctypes.c_int64(), c.shape[0]
+        if x.shape[0] != n:
+            raise ShapeError(f"dpotrs: right-hand side has {x.shape[0]} rows, not {n}")
+        self._fn["dpotrs"](b"U", _int(n), _int(x.shape[1]), c.ctypes.data, _int(max(1, n)),
+                           x.ctypes.data, _int(max(1, n)), ctypes.byref(info), 1)
+        return x, info.value
 
     def dpocon(self, c, anorm):
         c = _lapack_array(c, copy=False, square=True)
@@ -208,15 +202,15 @@ def _lapack():
 
 
 def _shifted_solves(G, B, lams):
-    """Solve (G + lam I) X = B for each lam by LAPACK posv, leaving G as it is.
+    """Solve (G + lam I) X = B for each lam by LAPACK potrf + potrs, leaving G as it is.
 
     Each solve copies G into one work array per path, in Fortran order,
-    the layout posv reads: a flat copy when G is Fortran-ordered, as the
+    the layout LAPACK reads: a flat copy when G is Fortran-ordered, as the
     ridge and kernel fits pass it. The work array's diagonal is set
     from a copy of G's own, the same addition ``G[idx] += lam`` makes on
     a fresh G, so every solve sees the matrix a one-lam fit would build.
-    posv overwrites the work array with the factor and hands the solution
-    back in Fortran order; it is returned C-contiguous as
+    potrf overwrites the work array with the factor and potrs hands the
+    solution back in Fortran order; it is returned C-contiguous as
     scipy.linalg.solve returns it, since products with it round by layout.
     """
     check_finite("Gram matrix", G)
@@ -237,14 +231,15 @@ def _shifted_solves(G, B, lams):
         diagonal = d0 + lam
         check_finite("shifted Gram diagonal", diagonal)
         anorm = lp.dlange("1", shifted(diagonal))  # as scipy.linalg.solve takes it
-        factor, X, info = lp.dposv(work, B, overwrite_a=True)
+        factor, info = lp.dpotrf(work, overwrite_a=True)
         if info < 0:
-            raise ValueError(f"LAPACK dposv: argument {-info} has an illegal value")
+            raise ValueError(f"LAPACK dpotrf: argument {-info} has an illegal value")
         if info > 0:
             log.warning("Cholesky failed on a %d x %d system; "
                         "solving it as symmetric indefinite", *G.shape)
             solutions.append(scipy.linalg.solve(shifted(diagonal), B, assume_a="sym"))
             continue
+        X, _ = lp.dpotrs(factor, B)
         rcond, _ = lp.dpocon(factor, anorm)
         if rcond < np.finfo(np.float64).eps:
             warnings.warn(f"An ill-conditioned matrix detected: rcond = {rcond:.6g}.",
@@ -253,9 +248,9 @@ def _shifted_solves(G, B, lams):
     return solutions
 
 
-def _check_lams(lams, context=""):
+def _check_lams(lams):
     if not all(0 < value < np.inf for value in lams):
-        raise ValueError(f"lam must be > 0 and finite{context}, got {lams}")
+        raise ValueError(f"lam must be > 0 and finite, got {lams}")
 
 
 def _check_regression_args(D, Y, lam):
@@ -265,7 +260,7 @@ def _check_regression_args(D, Y, lam):
         raise ShapeError(f"design has {D.shape[0]} rows but target has {Y.shape[0]}")
     check_finite("design matrix", D)
     check_finite("target matrix", Y)
-    _check_lams(lam, " (use pinv_solve for lam = 0)")
+    _check_lams(lam)
 
 
 def _gram(A):
@@ -312,8 +307,8 @@ def kernel_matrix(X1, X2, spec):
     """K[i, j] = k(x1_i, x2_j) for the given kernel spec.
 
     For rbf, k(x, y) = exp(-||x - y||^2 / (2 sigma^2)). Passing the same
-    array object for X1 and X2 guarantees an exactly symmetric matrix
-    with unit diagonal.
+    array object for X1 and X2 gives an exactly symmetric matrix (numpy
+    forms X X' by syrk, as in :func:`_gram`) with unit diagonal.
     """
     if X1.ndim != 2 or X2.ndim != 2 or X1.shape[1] != X2.shape[1]:
         raise ShapeError(
@@ -329,7 +324,6 @@ def kernel_matrix(X1, X2, spec):
     np.maximum(sq, 0.0, out=sq)
     if X1 is X2:
         np.fill_diagonal(sq, 0.0)
-        sq = 0.5 * (sq + sq.T)
     return np.exp(-sq / (2.0 * spec.sigma**2))
 
 
@@ -367,10 +361,9 @@ class KernelMap:
 
 def fit_kernel_map(X, T, spec, lam):
     """Kernel ridge from the rows of X to the rows of T, one map per lam of the path."""
-    _check_lams(lam, " for the kernel variant")
     alphas = krr_fit(kernel_matrix(X, X, spec), T, lam)
     # anchors are a copy, so applying the map to the training array never
-    # hits the same-object symmetrization fast path and drifts from a
+    # hits the same-object diagonal zeroing and drifts from a
     # loaded model
     anchors = X.copy()
     return [KernelMap(spec, anchors, alpha) for alpha in alphas]
@@ -495,7 +488,8 @@ def admm_elastic_net(H, T, cfg):
     G[np.diag_indices_from(G)] += rho
     check_finite("elastic-net Gram matrix", G)
     lp = _lapack()
-    factor, info = lp.dpotrf(G)
+    # G is exactly symmetric (H'H by syrk), so G.T is G in Fortran order
+    factor, info = lp.dpotrf(G.T, overwrite_a=True)
     if info > 0:
         raise scipy.linalg.LinAlgError(f"{info}-th leading minor of the elastic-net "
                                        "Gram matrix is not positive definite")

@@ -1,5 +1,6 @@
 import io
 import logging
+import re
 from pathlib import Path
 
 import numpy as np
@@ -133,10 +134,13 @@ def test_pinv_residual_is_minimal():
 # ---------------------------------------------------------------- kernels
 
 
-def test_rbf_unit_diagonal_and_symmetry():
-    X = RngState(8).gaussian(20, 5)
+@pytest.mark.parametrize("n, d", [(20, 5), (2000, 2), (1000, 60)])  # large: threaded syrk
+def test_rbf_unit_diagonal_and_symmetry(n, d, blas):
+    # numpy forms X X' by syrk, exactly symmetric at every BLAS thread
+    # count; K(X, X) relies on that and averages no triangles
+    X = RngState(8).gaussian(n, d)
     K = kernel_matrix(X, X, KernelSpec("rbf", sigma=1.5))
-    np.testing.assert_array_equal(np.diag(K), np.ones(20))
+    np.testing.assert_array_equal(np.diag(K), np.ones(n))
     np.testing.assert_array_equal(K, K.T)
     eigmin = np.linalg.eigvalsh(K).min()
     assert eigmin >= -1e-8 * K.shape[0]
@@ -390,7 +394,7 @@ def test_cholesky_fallback_is_logged(caplog):
     assert "Cholesky failed on a 2 x 2 system" in record.getMessage()
 
 
-# ------------------------------------------------------ the posv solve path
+# -------------------------------------------------- the Cholesky solve path
 
 ORACLE_LAMS = [1e-7, 1.0, 1e3]
 
@@ -442,23 +446,26 @@ def test_numpy_lapack_is_bitwise_scipy_lapack(n, k, blas):
     G[0, 1] += 1e-12  # no longer exactly symmetric: the triangle read matters
     B = rng.gaussian(n, k)
     ours = solvers.NUMPY_LAPACK
-    factor, X, info = ours.dposv(G, B)
+    factor, info = ours.dpotrf(G)
+    X, solve_info = ours.dpotrs(factor, B)
+    # the one factor and solve, against scipy's posv and against its
+    # cho_factor and cho_solve
     c, x, scipy_info = scipy.linalg.lapack.dposv(G, B)
-    assert info == scipy_info == 0
-    assert factor.tobytes(order="A") == c.tobytes(order="A")
+    assert info == solve_info == scipy_info == 0
+    assert np.triu(factor).tobytes() == np.triu(c).tobytes()
     assert X.flags["F_CONTIGUOUS"] and X.tobytes(order="A") == x.tobytes(order="A")
+    cho = scipy.linalg.cho_factor(G)
+    assert factor.tobytes(order="A") == cho[0].tobytes(order="A")
+    assert X.tobytes(order="A") == scipy.linalg.cho_solve(cho, B).tobytes(order="A")
+    # in place, a Fortran-order float64 matrix becomes that same factor
+    work = np.asfortranarray(G)
+    in_place, info = ours.dpotrf(work, overwrite_a=True)
+    assert info == 0 and in_place is work
+    assert work.tobytes(order="A") == factor.tobytes(order="A")
     for norm in ("1", "I"):
         assert ours.dlange(norm, G) == scipy.linalg.lapack.dlange(norm, G)
     anorm = ours.dlange("I", G)
     assert ours.dpocon(factor, anorm) == scipy.linalg.lapack.dpocon(c, anorm)
-    # ADMM's factor and solve, against the cho_factor and cho_solve it replaces
-    factor, info = ours.dpotrf(G)
-    c, lower = scipy.linalg.cho_factor(G)
-    assert info == 0 and factor.tobytes(order="A") == c.tobytes(order="A")
-    X, info = ours.dpotrs(factor, B)
-    x = scipy.linalg.cho_solve((c, lower), B)
-    assert info == 0 and X.flags["F_CONTIGUOUS"]
-    assert X.tobytes(order="A") == x.tobytes(order="A")
 
 
 @pytest.mark.parametrize("n, p, k", [(100, 20, 5), (300, 60, 122)])
@@ -507,7 +514,7 @@ FAKE_BUILDS = {
 
 class FakeOpenBlas:
     """A library exporting the thread-count routines, which keep a count,
-    and the five LAPACK routines the binding needs, under one decoration."""
+    and the LAPACK routines the binding needs, under one decoration."""
 
     def __init__(self, prefix, suffix):
         self.threads = 4
@@ -544,6 +551,13 @@ def test_each_openblas_build_yields_its_thread_routines_and_ilp64_its_lapack(mon
         assert bound is None
     delattr(lib, f"{prefix}dlange_{suffix}")
     assert solvers._bind_numpy_lapack() is None
+
+
+def test_readme_names_exactly_the_bound_lapack_routines():
+    # README's solver paragraph lists what the binding binds, no more and no less
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    bound = re.search(r"The bound LAPACK routines are (.*?)\(", readme, re.S).group(1)
+    assert set(re.findall(r"`(\w+)`", bound)) == set(solvers._LAPACK_SIGNATURES)
 
 
 def test_blas_threads_sets_every_library_the_walk_reports(monkeypatch):
