@@ -11,11 +11,14 @@ old version atomically.
 
 import csv
 import hashlib
+import itertools
 import json
 import logging
 import os
+import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import fields
 from pathlib import Path
 
@@ -25,9 +28,10 @@ from .config import ConfigError
 from .data import PARTITION_ROLES, fit_apply_scaling, load_manifest
 from .methods import get_method
 from .model_io import replace_atomically, save_model
-from .numerics import blas_threads
+from .numerics import blas_thread_counts, blas_threads
 from .ranking import rank_report, rank_rows, report_markdown, significance_marks
 from .selection import EvalResult, evaluate_fixed, grid_search, grouped_accuracy
+from .solvers import NUMPY_LAPACK
 from .synthetic import interleaved_arcs, separable_blobs
 
 log = logging.getLogger("randnet")
@@ -136,29 +140,62 @@ def _cell(cfg, dataset_name, method_name):
     return materialize_dataset(decl, cfg), get_method(method_name), mdecl
 
 
+def _ranked_maps(pool):
+    """rank -> a map (builtin map's contract) whose tasks run on pool, an
+    idle worker taking the waiting task of the lowest rank first."""
+    waiting, tickets = queue.PriorityQueue(), itertools.count()
+
+    def run_lowest():
+        *_, future, fn, item = waiting.get()
+        if future.set_running_or_notify_cancel():
+            try:
+                future.set_result(fn(item))
+            except BaseException as exc:  # raised again where the result is read
+                future.set_exception(exc)
+
+    def submit(rank, fn, item):
+        future = Future()
+        waiting.put((rank, next(tickets), future, fn, item))
+        pool.submit(run_lowest)
+        return future
+
+    def results(futures):
+        try:
+            yield from (future.result() for future in futures)
+        finally:  # after a raise, the tasks not yet started never start
+            for future in futures:
+                future.cancel()
+
+    return lambda rank: lambda fn, items: results([submit(rank, fn, i) for i in items])
+
+
 def run_bench(cfg, out_dir, resume=False):
     """Grid search over every (dataset, method) cell; resumable.
 
     Failed cells are recorded with their error string and the run
-    continues. With parallelism > 1 the independent cells run
-    concurrently, each with BLAS at cpu_count // parallelism threads
-    (restored afterwards), so the bits of a parallel run depend on the
-    core count and a resume on another machine can mix cells computed
-    at different thread counts. The output order is canonical either way."""
+    continues. With parallelism > 1 every fit (each candidate group and
+    each per-seed retrain) is a task on one pool of ``parallelism``
+    workers, which take the tasks in cell order, while ``parallelism``
+    driver threads run the cells' grid searches. BLAS runs at
+    cpu_count // parallelism threads meanwhile (restored afterwards), so
+    the bits of a parallel run depend on the core count and a resume on
+    another machine can mix cells computed at different thread counts;
+    the manifest records the BLAS facts, and a resume that meets others
+    logs a warning. The output order is canonical."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results_path = out_dir / "results.csv"
     manifest_path = out_dir / "bench_manifest.json"
     digest = config_hash(cfg)
-    completed = {}
+    manifest = {}
     if resume and manifest_path.exists():
         manifest = json.loads(manifest_path.read_text())
         if manifest.get("config_hash") != digest:
             raise ConfigError(
                 "bench manifest belongs to a different config; refusing to resume"
             )
-        completed = manifest.get("cells", {})
-        log.info("resuming: %d cells already complete", len(completed))
+        log.info("resuming: %d cells already complete", len(manifest.get("cells", {})))
+    completed = manifest.get("cells", {})
 
     datasets = {}
     for decl in cfg.datasets:
@@ -172,7 +209,7 @@ def run_bench(cfg, out_dir, resume=False):
     cells = [(d.name, m.name) for d in cfg.datasets for m in cfg.methods]
     lock = threading.Lock()
 
-    def run_cell(cell):
+    def run_cell(cell, map_fn=map):
         ds_name, m_name = cell
         mdecl = _find(cfg.methods, m_name, "method")
         method = get_method(m_name)
@@ -180,7 +217,7 @@ def run_bench(cfg, out_dir, resume=False):
             res = grid_search(
                 datasets[ds_name], method, cfg.grid_for(mdecl), cfg.seeds,
                 base_params=mdecl.params,
-                retrain_with_validation=cfg.retrain_with_validation)
+                retrain_with_validation=cfg.retrain_with_validation, map_fn=map_fn)
             row = result_row(res)
         except Exception as exc:  # partial-failure policy: record and go on
             log.warning("cell %s/%s failed: %s", ds_name, m_name, exc)
@@ -189,20 +226,35 @@ def run_bench(cfg, out_dir, resume=False):
         with lock:
             completed[f"{ds_name}::{m_name}"] = row
             with replace_atomically(manifest_path) as fh:
-                json.dump({"config_hash": digest, "cells": completed}, fh,
+                json.dump({"config_hash": digest, "cells": completed, **facts}, fh,
                           sort_keys=True, indent=1)
         return row
 
     pending = [c for c in cells if f"{c[0]}::{c[1]}" not in completed]
-    if cfg.parallelism > 1 and pending:
-        # each cell gets its share of the cores for BLAS; the pin encloses
-        # the pool, so the old counts return only after every worker joined
-        with blas_threads(max(1, (os.cpu_count() or 1) // cfg.parallelism)):
-            with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-                list(pool.map(run_cell, pending))
-    else:
-        for cell in pending:
-            run_cell(cell)
+    # each fit gets its share of the cores for BLAS; the pin encloses both
+    # pools, so the old counts return only after every thread joined
+    with (blas_threads(max(1, (os.cpu_count() or 1) // cfg.parallelism))
+          if cfg.parallelism > 1 else nullcontext()):
+        facts = {"blas_threads": blas_thread_counts(),
+                 "lapack_library": NUMPY_LAPACK.library if NUMPY_LAPACK else None}
+        recorded = {key: manifest.get(key) for key in facts}
+        if completed and recorded != facts:
+            log.warning("resuming at other BLAS facts than the manifest records "
+                        "(%s, now %s); cells may mix thread counts", recorded, facts)
+            facts = recorded  # the facts of the first cells, so every resume warns
+        if cfg.parallelism > 1 and pending:
+            # drivers only expand grids and pick winners; workers run every
+            # fit and never submit, so no task waits on its own pool. Each
+            # driver holds copies of its cell's rows, hence no more drivers
+            # than workers. Ranks start fits in cell order whichever driver
+            # submits first, so cells finish, and reach the manifest, in order.
+            with (ThreadPoolExecutor(cfg.parallelism) as workers,
+                  ThreadPoolExecutor(cfg.parallelism) as drivers):
+                ranked = map(_ranked_maps(workers), itertools.count())  # one rank per cell
+                list(drivers.map(run_cell, pending, ranked))
+        else:
+            for cell in pending:
+                run_cell(cell)
 
     rows = [completed[f"{d}::{m}"] for d, m in cells]
     write_results_csv(rows, results_path)

@@ -131,13 +131,15 @@ def evaluate_fixed(ds, method, params, seed, fit_roles=("train",),
 
 
 def grid_search(ds, method, grid, seeds, base_params=None,
-                retrain_with_validation=False):
+                retrain_with_validation=False, map_fn=map):
     """Pick hyperparameters on validation accuracy, then evaluate on test.
 
     Candidates are trained on the train split with seeds[0] and scored
     on validation; the winner (ties: fewer hidden nodes, then earlier
     grid order) is retrained once per seed (optionally on train plus
-    validation) and the test accuracy is averaged over seeds.
+    validation) and the test accuracy is averaged over seeds. Every fit,
+    each candidate group and each seed's retrain, is a task of ``map_fn``
+    (builtin ``map``'s contract), which a worker pool may run concurrently.
     """
     for role in PARTITION_ROLES:
         if role not in ds.partitions:
@@ -150,7 +152,8 @@ def grid_search(ds, method, grid, seeds, base_params=None,
         # (score, params) of the best candidate: max keeps the first of
         # equal keys, so ties fall to fewer hidden nodes, then grid order
         candidates = expand_grid(grid, replace(method, axes=axes), stage_base)
-        scores = grouped_accuracy(method, candidates, Xtr, Ytr, Xva, yva, seeds[0])
+        scores = grouped_accuracy(method, candidates, Xtr, Ytr, Xva, yva, seeds[0],
+                                  map_fn=map_fn)
         return max(zip(scores, candidates),
                    key=lambda sc: (sc[0], -hidden_nodes(method, sc[1])))
 
@@ -167,8 +170,8 @@ def grid_search(ds, method, grid, seeds, base_params=None,
 
     # selection is complete; only now may test rows be read
     fit_roles = ("train", "validation") if retrain_with_validation else ("train",)
-    runs = [evaluate_fixed(ds, method, params, seed, fit_roles, ("test",))[1]
-            for seed in seeds]
+    runs = list(map_fn(lambda seed: evaluate_fixed(ds, method, params, seed, fit_roles,
+                                                   ("test",))[1], seeds))
     return replace(
         runs[0],
         val_accuracy=score,
@@ -178,21 +181,25 @@ def grid_search(ds, method, grid, seeds, base_params=None,
     )
 
 
-def grouped_accuracy(method, candidates, X, Y, X_score, y_score, seed):
+def grouped_accuracy(method, candidates, X, Y, X_score, y_score, seed, map_fn=map):
     """Accuracy on (X_score, y_score) of each candidate trained on (X, Y).
 
     Candidates with one group_key are fitted together (train_group: a C
     path for shallow methods, one autoencoder stack for every classifier
     width of a deep method) and scored together (predict_group); the
-    accuracies are bitwise those of fitting each candidate alone.
+    accuracies are bitwise those of fitting each candidate alone. Each
+    group is one ``map_fn`` task whose models die with it.
     """
     groups = {}
     for i, params in enumerate(candidates):
         groups.setdefault(group_key(method, params), []).append(i)
-    scores = [None] * len(candidates)
-    for members in groups.values():
+
+    def group_accuracy(members):
         models = train_group(method, [candidates[i] for i in members], X, Y, seed)
-        for i, (_, pred) in zip(members, predict_group(models, X_score)):
-            scores[i] = accuracy(y_score, pred)
-        del models  # nothing of this group stays alive while the next is built
+        return [accuracy(y_score, pred) for _, pred in predict_group(models, X_score)]
+
+    scores = [None] * len(candidates)
+    for members, accs in zip(groups.values(), map_fn(group_accuracy, groups.values())):
+        for i, acc in zip(members, accs):
+            scores[i] = acc
     return scores

@@ -5,6 +5,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 import randnet.harness
 import randnet.numerics
+import randnet.selection
 from randnet.cli import build_parser, main
 from randnet.config import ConfigError, load_config
 from randnet.data import DataFormatError, load_manifest
@@ -28,8 +31,11 @@ from randnet.harness import (
     run_train,
     write_results_csv,
 )
-from randnet.methods import DEFAULT_PARAMS, PARAMS
+from randnet.methods import DEFAULT_PARAMS, PARAMS, get_method
 from randnet.numerics import ACTIVATION_NAMES, blas_thread_counts, blas_threads
+from randnet.selection import grouped_accuracy
+from randnet.solvers import NUMPY_LAPACK
+from randnet.synthetic import interleaved_arcs
 
 from oracles import sweep_per_point
 
@@ -276,6 +282,16 @@ LOADERS = {"run": (RUN_DOC, load_config, ConfigError),
 KEY_PATHS = [(name, path) for name, (doc, *_) in LOADERS.items() for path in key_paths(doc)]
 
 
+def dumped_with(name, path, value):
+    """The YAML text of the loader's full document with value at path."""
+    doc = copy.deepcopy(LOADERS[name][0])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return yaml.safe_dump(doc)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(where=st.sampled_from(KEY_PATHS), value=YAML_VALUES)
 # an int beyond the float range made math.isfinite raise OverflowError,
@@ -287,14 +303,38 @@ def test_loaders_raise_only_their_own_errors(doc_dir, where, value):
     # any YAML value at any key path is loaded or refused with the
     # loader's own error, never a TypeError from deep inside it
     name, path = where
-    doc, loader, errors = LOADERS[name]
-    doc = copy.deepcopy(doc)
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
+    _, loader, errors = LOADERS[name]
     target = doc_dir / f"{name}.yaml"
-    target.write_text(yaml.safe_dump(doc))
+    target.write_text(dumped_with(name, path, value))
+    try:
+        loader(target)
+    except errors:
+        pass
+
+
+NEST_DEPTH = 2000  # past the recursion limit; any deeper nest fails the same way
+FLOW_NESTS = {
+    # a sequence opens one level per line: PyYAML's scanner keeps a possible
+    # simple key for every "[" still open on a line, so one line of them
+    # takes about 1 s to reach the composer's recursion limit
+    "sequence": "[\n" * NEST_DEPTH + "]" * NEST_DEPTH,
+    "mapping": "{a: " * NEST_DEPTH + "0" + "}" * NEST_DEPTH,
+}
+
+
+@pytest.mark.parametrize("nest", FLOW_NESTS)
+@pytest.mark.parametrize("where", KEY_PATHS, ids=lambda w: ":".join(map(str, (w[0], *w[1]))))
+def test_loaders_refuse_deep_flow_nesting(doc_dir, where, nest):
+    # a flow collection nested past the recursion limit at any key path is
+    # loaded or refused with the loader's own error, never a RecursionError;
+    # it is written as text, because yaml.safe_dump recurses per level too
+    name, path = where
+    _, loader, errors = LOADERS[name]
+    mark = "nested_flow_value"  # a plain scalar that safe_dump writes unquoted
+    text = dumped_with(name, path, mark)
+    assert text.count(mark) == 1
+    target = doc_dir / f"{name}.yaml"
+    target.write_text(text.replace(mark, FLOW_NESTS[nest]))
     try:
         loader(target)
     except errors:
@@ -542,12 +582,19 @@ def test_bench_pins_blas_threads_in_cells_and_restores(config_path, tmp_path,
                                                        monkeypatch, interrupt_after):
     inside = []
     grid_search = randnet.harness.grid_search
+    train_group = randnet.selection.train_group
 
     def recording(*args, **kwargs):
         inside.append(blas_thread_counts())
         return grid_search(*args, **kwargs)
 
+    def recording_fit(*args, **kwargs):
+        # the fits run on the worker threads, where the pin must hold too
+        inside.append(blas_thread_counts())
+        return train_group(*args, **kwargs)
+
     monkeypatch.setattr(randnet.harness, "grid_search", recording)
+    monkeypatch.setattr(randnet.selection, "train_group", recording_fit)
     cfg = load_config(config_path)
     cfg.parallelism = 2
     # start from a count the pin never sets, so a missed restore shows
@@ -562,6 +609,171 @@ def test_bench_pins_blas_threads_in_cells_and_restores(config_path, tmp_path,
     pinned = max(1, os.cpu_count() // 2)
     assert len(inside) >= 6
     assert all(counts == dict.fromkeys(before, pinned) for counts in inside)
+
+
+def test_bench_parallel_runs_one_cell_on_every_worker(tmp_path, monkeypatch):
+    # a cell's candidate groups are tasks of the worker pool, so even a
+    # single cell keeps both workers busy, and its row stays the serial one
+    p = tmp_path / "deep.yaml"
+    p.write_text(DENSE_DEEP + "  - name: deep_rvfl_dense_denoise_l2\n" + DENSE_DEEP_GRID)
+    cfg = load_config(p)
+    cfg.parallelism = 1
+    seq = run_bench(cfg, tmp_path / "seq")
+    threads = []
+    train_group = randnet.selection.train_group
+
+    def recording(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return train_group(*args, **kwargs)
+
+    monkeypatch.setattr(randnet.selection, "train_group", recording)
+    cfg.parallelism = 2
+    par = run_bench(cfg, tmp_path / "par")
+    # stage 1: 2 widths x 2 C x 2 noise levels; stage 2: one group per C
+    assert len(threads) == 10
+    assert len(set(threads)) >= 2
+    assert strip_time(read_results_csv(par)) == strip_time(read_results_csv(seq))
+
+
+def test_bench_parallel_failing_group_fails_only_its_cell(config_path, tmp_path, monkeypatch):
+    cfg = load_config(config_path)
+    seq = strip_time(read_results_csv(run_bench(cfg, tmp_path / "seq")))
+    train_group = randnet.selection.train_group
+
+    def failing(method, *args, **kwargs):
+        if method.name == "deep_rvfl_dense_l2":
+            raise RuntimeError("injected group failure")
+        return train_group(method, *args, **kwargs)
+
+    monkeypatch.setattr(randnet.selection, "train_group", failing)
+    cfg.parallelism = 2
+    with blas_threads(3):
+        before = blas_thread_counts()
+        rows = strip_time(read_results_csv(run_bench(cfg, tmp_path / "par")))
+        assert blas_thread_counts() == before
+    for row, ref in zip(rows, seq, strict=True):
+        if row["method"] == "deep_rvfl_dense_l2":
+            assert row["error"] == "injected group failure"
+        else:
+            assert row == ref
+
+
+def test_grouped_accuracy_failure_cancels_pending_groups(monkeypatch):
+    ds = interleaved_arcs(n_train=60, n_val=30, n_test=30, seed=1)
+    Xtr, Ytr, _ = ds.part("train")
+    Xva, _, yva = ds.part("validation")
+    method = get_method("rvfl")
+    candidates = [dict(DEFAULT_PARAMS, clf_width=w, C=1.0) for w in (10, 20, 30, 40)]
+    calls, release = [], threading.Event()
+    train_group = randnet.selection.train_group
+
+    def first_fails(*args, **kwargs):
+        calls.append(len(calls))
+        if len(calls) == 1:
+            raise RuntimeError("injected group failure")
+        release.wait(timeout=30)  # holds a group that started before the raise
+        return train_group(*args, **kwargs)
+
+    monkeypatch.setattr(randnet.selection, "train_group", first_fails)
+    with ThreadPoolExecutor(1) as pool:
+        map_fn = randnet.harness._ranked_maps(pool)(0)
+        with pytest.raises(RuntimeError, match="injected"):
+            grouped_accuracy(method, candidates, Xtr, Ytr, Xva, yva, 0, map_fn=map_fn)
+        release.set()
+    # the failing group, perhaps the next one if it started before the
+    # failure was read, and no later group: those were cancelled
+    assert calls in ([0], [0, 1])
+
+
+def test_ranked_maps_run_the_lowest_rank_first():
+    # a cell's fits start before those of any later cell that is waiting,
+    # whichever cell submitted first; within a rank they start in order
+    started, gate = [], threading.Event()
+    with ThreadPoolExecutor(1) as pool:
+        ranked = randnet.harness._ranked_maps(pool)
+        busy = ranked(0)(lambda _: gate.wait(timeout=30), [None])  # holds the worker
+        late = ranked(2)(started.append, ["c1", "c2"])
+        early = ranked(1)(started.append, ["b1", "b2"])
+        gate.set()
+        assert list(busy) == [True]
+        assert list(late) == [None, None] and list(early) == [None, None]
+    assert started == ["b1", "b2", "c1", "c2"]
+
+
+def test_ranked_maps_under_contention_run_every_task_once_in_order():
+    # more workers and submitting drivers than cores, switching threads
+    # often: a lost heap update would leave a future unresolved
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool, ThreadPoolExecutor(4) as drivers:
+            ranked = randnet.harness._ranked_maps(pool)
+            jobs = [drivers.submit(lambda r: list(ranked(r)(lambda x: (r, x), range(200))), r)
+                    for r in range(8)]
+            results = [job.result(timeout=60) for job in jobs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[(r, x) for x in range(200)] for r in range(8)]
+
+
+def test_bench_parallel_caps_driver_threads(config_path, tmp_path, monkeypatch):
+    # each driver holds its own copies of a cell's rows, so at most
+    # parallelism cells are in flight, however many are pending
+    drivers = set()
+    grid_search = randnet.harness.grid_search
+
+    def recording(*args, **kwargs):
+        drivers.add(threading.get_ident())
+        return grid_search(*args, **kwargs)
+
+    monkeypatch.setattr(randnet.harness, "grid_search", recording)
+    cfg = load_config(config_path)
+    cfg.parallelism = 1
+    run_bench(cfg, tmp_path / "seq")
+    assert len(drivers) == 1
+    drivers.clear()
+    cfg.parallelism = 2
+    rows = read_results_csv(run_bench(cfg, tmp_path / "par"))
+    assert len(rows) == 6 and not any(r["error"] for r in rows)
+    assert len(drivers) == 2  # 6 cells, more than 2 * parallelism
+
+
+def test_bench_manifest_records_blas_facts(config_path, tmp_path, interrupt_after, caplog):
+    cfg = load_config(config_path)
+    cfg.parallelism = 2
+    run_bench(cfg, tmp_path / "par")
+    manifest = json.loads((tmp_path / "par" / "bench_manifest.json").read_text())
+    pinned = max(1, os.cpu_count() // 2)
+    assert manifest["blas_threads"] == dict.fromkeys(blas_thread_counts(), pinned)
+    assert manifest["lapack_library"] == (NUMPY_LAPACK.library if NUMPY_LAPACK else None)
+
+    cfg.parallelism = 1
+    out = tmp_path / "int"
+    with interrupt_after(2), pytest.raises(KeyboardInterrupt):
+        run_bench(cfg, out)
+    manifest_path = out / "bench_manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["blas_threads"] == blas_thread_counts()
+    with caplog.at_level(logging.WARNING, logger="randnet"):
+        run_bench(cfg, out, resume=True)  # the same facts: no warning
+    assert not caplog.records
+    other = {"libother_openblas.so": 64}
+    manifest["blas_threads"] = other
+    manifest["cells"] = dict(list(manifest["cells"].items())[:2])
+    manifest_path.write_text(json.dumps(manifest))
+    with caplog.at_level(logging.WARNING, logger="randnet"):
+        results = run_bench(cfg, out, resume=True)
+    (record,) = caplog.records
+    assert "other BLAS facts" in record.getMessage()
+    assert len(read_results_csv(results)) == 6
+    # the manifest keeps the facts its first cells ran at, so the next
+    # resume still sees that its cells mix thread counts
+    assert json.loads(manifest_path.read_text())["blas_threads"] == other
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="randnet"):
+        run_bench(cfg, out, resume=True)
+    (record,) = caplog.records
+    assert "other BLAS facts" in record.getMessage()
 
 
 def fake_blas(calls):
