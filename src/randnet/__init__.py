@@ -2,7 +2,6 @@
 
 from .autoencoders import (
     AutoencoderSpec,
-    CorruptionSpec,
     EncoderWeights,
     KernelDecoder,
     corrupt,

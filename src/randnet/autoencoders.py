@@ -1,22 +1,21 @@
 """Randomized autoencoder layers: random encoder, learned decoder.
 
-The layer input is randomly mapped (after optional corruption) to a
+The layer input is randomly mapped (after optional Gaussian noise) to a
 hidden representation, a decoder matrix is learned to reconstruct the
 clean input from it, and that decoder is reused transposed as the
 layer's forward encoding. Four decoder regularizations are supported:
 ridge, l1 (FISTA), elastic net (ADMM), and kernel ridge.
 
-Corruption only ever touches the decoder-learning step; forward
-encoding always consumes clean inputs, and zero-intensity corruption is
-exactly the identity (it draws nothing from its stream).
+Noise only ever touches the decoder-learning step; forward encoding
+always consumes clean inputs, and noise 0 is exactly the identity (it
+draws nothing from its stream).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import (ACTIVATION, BOOL, NON_NEGATIVE, POSITIVE, check_fields, integer, one_of,
-                   optional)
+from .data import ACTIVATION, BOOL, NON_NEGATIVE, POSITIVE, check_fields, integer, optional
 from .numerics import ShapeError, activate
 from .shallow import make_random_layer
 from .solvers import (
@@ -33,16 +32,6 @@ from .solvers import (
 
 
 @dataclass
-class CorruptionSpec:
-    kind: str = "none"  # none | gaussian
-    sigma: float = 0.0  # gaussian noise std
-
-    def __post_init__(self):
-        check_fields(self, {"kind": one_of("none", "gaussian"), "sigma": NON_NEGATIVE},
-                     "corruption ")
-
-
-@dataclass
 class KernelDecoder:
     """Kernel-ridge decoder: spec plus its regularization weight."""
 
@@ -55,20 +44,22 @@ class KernelDecoder:
 
 @dataclass
 class AutoencoderSpec:
-    """One layer's width, decoder regularization, activation, and corruption.
+    """One layer's width, decoder regularization, activation, and input noise.
 
     reg is one of RidgeConfig, L1Config, ElasticNetConfig, or
     KernelDecoder; width is ignored for the kernel variant, whose
-    encoding dimension equals its input dimension.
+    encoding dimension equals its input dimension. noise is the std of
+    the Gaussian noise on the decoder's input; 0 means clean input.
     """
 
     width: int = 50
     reg: object = field(default_factory=RidgeConfig)
     activation: str = "sigmoid"
-    corruption: CorruptionSpec = field(default_factory=CorruptionSpec)
+    noise: float = 0.0
 
     def __post_init__(self):
-        check_fields(self, {"width": integer(1), "activation": ACTIVATION}, "autoencoder ")
+        check_fields(self, {"width": integer(1), "activation": ACTIVATION, "noise": NON_NEGATIVE},
+                     "autoencoder ")
 
 
 @dataclass
@@ -85,28 +76,26 @@ class EncoderWeights:
                             "kernel_map": optional(KernelMap), "converged": BOOL}, "encoder ")
 
 
-def corrupt(X, spec, rng):
-    """Add i.i.d. Gaussian noise of std spec.sigma to X.
-
-    Kind "none" and sigma = 0 return X itself and draw nothing from rng.
-    """
-    if spec.kind == "none" or spec.sigma == 0.0:
+def corrupt(X, noise, rng):
+    """Add i.i.d. Gaussian noise of std noise to X; noise 0 returns X itself
+    and draws nothing from rng."""
+    if noise == 0.0:
         return X
-    return X + rng.gaussian(X.shape[0], X.shape[1], 0.0, spec.sigma)
+    return X + rng.gaussian(X.shape[0], X.shape[1], 0.0, noise)
 
 
 def rand_ae_train(Hin, spec, rng):
     """Train one randomized autoencoder layer on Hin (rows are samples).
 
-    The random map and the corruption draw from independent child
-    streams of ``rng`` ("weights" and "noise"), so turning corruption on
-    or off never changes the random weights.
+    The random map and the noise draw from independent child streams of
+    ``rng`` ("weights" and "noise"), so turning noise on or off never
+    changes the random weights.
     """
     if isinstance(spec.reg, KernelDecoder):
         return kernel_ae_train(Hin, spec.reg.spec, spec.reg.lam)
     layer = make_random_layer(Hin.shape[1], spec.width, rng.spawn("weights").seed,
                               spec.activation)
-    Hr = layer.transform(corrupt(Hin, spec.corruption, rng.spawn("noise")))
+    Hr = layer.transform(corrupt(Hin, spec.noise, rng.spawn("noise")))
     converged = True
     if isinstance(spec.reg, RidgeConfig):
         decoder = ridge_solve(Hr, Hin, [spec.reg.lam])[0]

@@ -20,14 +20,10 @@ from .selection import GridSpec
 
 class ConfigError(ValueError):
     def __init__(self, message, path=None, line=None):
-        loc = ""
-        if path:
-            loc = f" at {path}"
+        loc = f" at {path}" if path else ""
         if line is not None:
             loc += f" (line {line})"
         super().__init__(f"{message}{loc}")
-        self.path = path
-        self.line = line
 
 
 def _walk_lines(node, lines, path):

@@ -288,8 +288,8 @@ def run_stats(results_path, out_dir, alpha=0.05):
     rows = read_results_csv(results_path)
     if not rows:
         raise ValueError(f"{results_path} holds no result rows")
-    datasets, methods, matrix = accuracy_matrix(rows)
-    table = rank_rows(matrix, methods=tuple(methods), datasets=tuple(datasets))
+    _, methods, matrix = accuracy_matrix(rows)
+    table = rank_rows(matrix, methods=tuple(methods))
     report = rank_report(table, alpha)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

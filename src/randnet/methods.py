@@ -8,7 +8,7 @@ autoencoder layers and the classifier.
 
 from dataclasses import dataclass
 
-from .autoencoders import AutoencoderSpec, CorruptionSpec
+from .autoencoders import AutoencoderSpec
 from .data import ACTIVATION, checked, integer, is_finite, is_number
 from .deep import DeepConfig, DeepModel, deep_predict_path, deep_train, mlkelm_train
 from .shallow import predict_path as shallow_predict_path
@@ -25,7 +25,7 @@ PARAMS = {
     "clf_width": (500, _COUNT),
     "C": (1.0, _POSITIVE),
     "sigma": (1.0, _POSITIVE),  # kernel bandwidth
-    "noise": (0.1, (lambda v: is_number(v) and v >= 0, "a number >= 0")),  # corruption std
+    "noise": (0.1, (lambda v: is_number(v) and v >= 0, "a number >= 0")),  # input noise std
     "alpha_mix": (0.5, (lambda v: is_number(v) and 0 <= v <= 1, "a number in [0, 1]")),
     "activation": ("sigmoid", ACTIVATION),
     "solver_iters": (500, _COUNT),  # FISTA/ADMM budget inside autoencoders
@@ -120,14 +120,11 @@ def _decoder_reg(method, lam, params):
 
 def build_deep_config(method, params, seed):
     lam = 1.0 / params["C"]
-    corruption = CorruptionSpec("none")
-    if method.denoise:
-        corruption = CorruptionSpec("gaussian", sigma=params["noise"])
     layer = AutoencoderSpec(
         width=int(params["ae_width"]),
         reg=_decoder_reg(method, lam, params),
         activation=params["activation"],
-        corruption=corruption,
+        noise=params["noise"] if method.denoise else 0.0,
     )
     return DeepConfig(
         layers=[layer] * int(params["layers"]),  # widths tied across layers

@@ -30,8 +30,9 @@ import numpy as np
 
 from .autoencoders import EncoderWeights
 from .data import ScalingStats
-from .deep import DeepModel, deep_predict
-from .shallow import RandomLayer, ShallowModel, predict
+from .deep import DeepModel
+from .methods import predict_method
+from .shallow import RandomLayer, ShallowModel
 from .solvers import KernelMap, KernelSpec
 
 MAGIC = b"RNMODEL6"
@@ -126,7 +127,7 @@ def load_model(path):
         first = model.encoders[0] if deep else model
         inputs = (first.kernel_map.anchors if first.kernel_map is not None
                   else first.decoder if deep else first.layer.W.T)
-        (deep_predict if deep else predict)(model, np.zeros((1, inputs.shape[1])))
+        predict_method(model, np.zeros((1, inputs.shape[1])))
     except Exception as exc:
         raise ValueError(f"{path}: model fails on an all-zero row: {exc}") from None
     return model

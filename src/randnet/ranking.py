@@ -36,7 +36,6 @@ class RankTable:
     ranks: np.ndarray  # M x m
     mean_ranks: np.ndarray  # length m
     methods: tuple = ()
-    datasets: tuple = ()
 
     @property
     def n_datasets(self):
@@ -52,12 +51,10 @@ class SignificanceMatrix:
     """entry[i, j] is better/worse/none for method i against method j."""
 
     entries: np.ndarray  # m x m object array of strings
-    alpha: float
     cd: float
-    methods: tuple = ()
 
 
-def rank_rows(accuracy, methods=(), datasets=()):
+def rank_rows(accuracy, methods=()):
     """Rank methods within each dataset, highest accuracy first.
 
     Rank 1 is the best method of a row and tied accuracies share the
@@ -69,8 +66,7 @@ def rank_rows(accuracy, methods=(), datasets=()):
     if accuracy.ndim != 2 or accuracy.shape[0] < 2 or accuracy.shape[1] < 2:
         raise ValueError("need at least 2 datasets and 2 methods")
     ranks = np.vstack([average_ranks(-row) for row in accuracy])
-    return RankTable(accuracy, ranks, ranks.mean(axis=0), tuple(methods),
-                     tuple(datasets))
+    return RankTable(accuracy, ranks, ranks.mean(axis=0), tuple(methods))
 
 
 def _mean_ranks(mean_ranks):
@@ -131,7 +127,7 @@ def nemenyi_cd(m, M, alpha=0.05):
     return nemenyi_q(m, alpha) * float(np.sqrt(m * (m + 1.0) / (6.0 * M)))
 
 
-def pairwise_significance(mean_ranks, M, alpha=0.05, methods=()):
+def pairwise_significance(mean_ranks, M, alpha=0.05):
     """better/worse where mean ranks differ by at least the critical difference."""
     mean_ranks, m = _mean_ranks(mean_ranks)
     cd = nemenyi_cd(m, M, alpha)
@@ -143,7 +139,7 @@ def pairwise_significance(mean_ranks, M, alpha=0.05, methods=()):
             gap = mean_ranks[i] - mean_ranks[j]
             if abs(gap) >= cd:
                 entries[i, j] = "better" if gap < 0 else "worse"
-    return SignificanceMatrix(entries, alpha, cd, tuple(methods))
+    return SignificanceMatrix(entries, cd)
 
 
 def significance_marks(sig):
@@ -157,10 +153,8 @@ def rank_report(table, alpha=0.05):
     M, m = table.n_datasets, table.n_methods
     chi2 = friedman_chi2(table.mean_ranks, M)
     f_value, dof = friedman_f(chi2, M, m)
-    sig = pairwise_significance(table.mean_ranks, M, alpha, table.methods)
+    sig = pairwise_significance(table.mean_ranks, M, alpha)
     return {
-        "M": M,
-        "m": m,
         "chi2": chi2,
         "f_value": f_value,
         "dof": dof,

@@ -484,12 +484,11 @@ def admm_elastic_net(H, T, cfg):
     _check_regression_args(H, T, [cfg.lam])
     p, k = H.shape[1], T.shape[1]
     rho = cfg.lam
-    G = 2.0 * (H.T @ H)
+    G = 2.0 * _gram(H.T)  # Fortran order, so LAPACK factors it in place
     G[np.diag_indices_from(G)] += rho
     check_finite("elastic-net Gram matrix", G)
     lp = _lapack()
-    # G is exactly symmetric (H'H by syrk), so G.T is G in Fortran order
-    factor, info = lp.dpotrf(G.T, overwrite_a=True)
+    factor, info = lp.dpotrf(G, overwrite_a=True)
     if info > 0:
         raise scipy.linalg.LinAlgError(f"{info}-th leading minor of the elastic-net "
                                        "Gram matrix is not positive definite")

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from randnet import (
-    CorruptionSpec,
     DeepConfig,
     ElasticNetConfig,
     KernelSpec,
@@ -156,18 +155,14 @@ def test_criterion_5_architecture_degeneracy():
         ds = separable_blobs(n=200, seed=0)
         X, Y = ds.X, ds.Y
 
-        def specs(widths, corruption=None):
-            corr = corruption or CorruptionSpec("none")
-            return [AutoencoderSpec(width=w, reg=RidgeConfig(lam=0.1),
-                                    corruption=corr) for w in widths]
+        def specs(widths):
+            return [AutoencoderSpec(width=w, reg=RidgeConfig(lam=0.1)) for w in widths]
 
         # denoising at zero intensity is bitwise the plain dense stack
-        widths = (10, 15, 20)
-        dense = deep_train(X, Y, DeepConfig(layers=specs(widths), seed=21,
-                                            connectivity="dense", clf_width=40))
-        zeroed = deep_train(X, Y, DeepConfig(
-            layers=specs(widths, CorruptionSpec("gaussian", sigma=0.0)),
-            seed=21, connectivity="dense", clf_width=40))
+        params = {"layers": 3, "ae_width": 15, "clf_width": 40, "C": 10.0}
+        dense = train_method(get_method("deep_rvfl_dense_l2"), params, X, Y, 21)
+        zeroed = train_method(get_method("deep_rvfl_dense_denoise_l2"),
+                              dict(params, noise=0.0), X, Y, 21)
         for a, b in zip(dense.encoders, zeroed.encoders):
             np.testing.assert_array_equal(a.decoder, b.decoder)
         np.testing.assert_array_equal(dense.classifier.weights,
@@ -182,6 +177,7 @@ def test_criterion_5_architecture_degeneracy():
         np.testing.assert_array_equal(elm.weights, ablated.weights)
 
         # plain and direct connectivity differ only at the classifier
+        widths = (10, 15, 20)
         plain = deep_train(X, Y, DeepConfig(layers=specs(widths), seed=23,
                                             connectivity="plain", clf_width=40))
         direct = deep_train(X, Y, DeepConfig(layers=specs(widths), seed=23,

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from randnet.autoencoders import (
     AutoencoderSpec,
-    CorruptionSpec,
     EncoderWeights,
     KernelDecoder,
     corrupt,
@@ -24,41 +23,37 @@ from randnet.solvers import (
 
 
 def test_corrupt_none_is_same_object():
+    # a default layer adds no noise
     X = RngState(0).gaussian(5, 4)
-    assert corrupt(X, CorruptionSpec("none"), RngState(1)) is X
+    assert corrupt(X, AutoencoderSpec().noise, RngState(1)) is X
 
 
 def test_corrupt_gaussian_zero_sigma_identity():
     X = RngState(0).gaussian(5, 4)
-    out = corrupt(X, CorruptionSpec("gaussian", sigma=0.0), RngState(1))
-    assert out is X
+    for zero in (0, 0.0, -0.0, np.float64(0.0)):
+        assert corrupt(X, zero, RngState(1)) is X
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(1, 20), p=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
 def test_zero_intensity_corruption_is_identity_and_draws_nothing(n, p, seed):
-    spec = CorruptionSpec("gaussian", sigma=0.0)
     X = RngState(seed).uniform(n, p)
     rng, twin = RngState(seed + 1), RngState(seed + 1)
-    assert corrupt(X, spec, rng) is X
+    assert corrupt(X, 0.0, rng) is X
     assert rng.uniform(1, 4).tobytes() == twin.uniform(1, 4).tobytes()
 
 
 def test_corrupt_gaussian_mean_absolute_deviation():
     # half-normal mean is sigma * sqrt(2/pi) = 0.0798 for sigma 0.1
     X = RngState(2).gaussian(100, 100)
-    out = corrupt(X, CorruptionSpec("gaussian", sigma=0.1), RngState(3))
+    out = corrupt(X, 0.1, RngState(3))
     mad = np.mean(np.abs(out - X))
     assert 0.06 <= mad <= 0.10
 
 
 def test_corruption_spec_validation():
-    with pytest.raises(ValueError):
-        CorruptionSpec("gaussian", sigma=-0.1)
-    for kind in ("masking", "dropout"):
-        with pytest.raises(ValueError, match="corruption kind must be one of "
-                                             rf"\['none', 'gaussian'\], got '{kind}'"):
-            CorruptionSpec(kind)
+    with pytest.raises(ValueError, match="autoencoder noise must be >= 0 and finite, got -0.1"):
+        AutoencoderSpec(noise=-0.1)
 
 
 def square_problem(seed, n=80, p=12):
@@ -101,8 +96,7 @@ def test_l2_ae_decoder_is_exactly_ridge():
 def test_zero_intensity_corruption_bitwise_equals_none():
     Hin = square_problem(9)
     base = AutoencoderSpec(width=15, reg=RidgeConfig(lam=0.1))
-    zero_g = AutoencoderSpec(width=15, reg=RidgeConfig(lam=0.1),
-                             corruption=CorruptionSpec("gaussian", sigma=0.0))
+    zero_g = AutoencoderSpec(width=15, reg=RidgeConfig(lam=0.1), noise=0.0)
     enc0 = rand_ae_train(Hin, base, RngState(10))
     enc1 = rand_ae_train(Hin, zero_g, RngState(10))
     np.testing.assert_array_equal(enc0.decoder, enc1.decoder)
@@ -112,8 +106,7 @@ def test_corruption_does_not_shift_weight_stream():
     # noisy and clean runs share identical random weights by stream split
     Hin = square_problem(11)
     clean = AutoencoderSpec(width=10, reg=RidgeConfig(lam=0.1))
-    noisy = AutoencoderSpec(width=10, reg=RidgeConfig(lam=0.1),
-                            corruption=CorruptionSpec("gaussian", sigma=0.5))
+    noisy = AutoencoderSpec(width=10, reg=RidgeConfig(lam=0.1), noise=0.5)
     enc_clean = rand_ae_train(Hin, clean, RngState(12))
     enc_noisy = rand_ae_train(Hin, noisy, RngState(12))
     assert np.any(enc_clean.decoder != enc_noisy.decoder)  # noise did something
@@ -139,8 +132,7 @@ def test_elastic_ae_trains_and_flags_convergence():
 
 def test_ae_deterministic():
     Hin = square_problem(17)
-    spec = AutoencoderSpec(width=9, reg=RidgeConfig(lam=0.2),
-                           corruption=CorruptionSpec("gaussian", sigma=0.3))
+    spec = AutoencoderSpec(width=9, reg=RidgeConfig(lam=0.2), noise=0.3)
     a = rand_ae_train(Hin, spec, RngState(18))
     b = rand_ae_train(Hin, spec, RngState(18))
     np.testing.assert_array_equal(a.decoder, b.decoder)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from randnet.autoencoders import AutoencoderSpec, CorruptionSpec, KernelDecoder
+from randnet.autoencoders import AutoencoderSpec, KernelDecoder
 from randnet.data import fit_scaling
 from randnet.deep import (
     DeepConfig,
@@ -26,10 +26,8 @@ def blobs():
     return ds.X, ds.Y, ds.labels
 
 
-def layer_specs(widths, lam=0.1, corruption=None):
-    corr = corruption or CorruptionSpec("none")
-    return [AutoencoderSpec(width=w, reg=RidgeConfig(lam=lam), corruption=corr)
-            for w in widths]
+def layer_specs(widths, lam=0.1):
+    return [AutoencoderSpec(width=w, reg=RidgeConfig(lam=lam)) for w in widths]
 
 
 def test_dense_dimension_ledger(blobs):
@@ -74,18 +72,16 @@ def test_collapse_to_shallow(blobs):
 
 
 def test_denoising_at_zero_sigma_is_bitwise_plain(blobs):
+    # the denoising method at noise 0 trains the plain dense stack
     X, Y, _ = blobs
-    widths = (10, 15)
-    plain_cfg = DeepConfig(layers=layer_specs(widths), connectivity="dense", seed=9,
-                           clf_width=30)
-    zero_cfg = DeepConfig(
-        layers=layer_specs(widths, corruption=CorruptionSpec("gaussian", sigma=0.0)),
-        connectivity="dense", seed=9, clf_width=30)
-    a = deep_train(X, Y, plain_cfg)
-    b = deep_train(X, Y, zero_cfg)
-    for ea, eb in zip(a.encoders, b.encoders):
-        np.testing.assert_array_equal(ea.decoder, eb.decoder)
-    np.testing.assert_array_equal(a.classifier.weights, b.classifier.weights)
+    params = {"layers": 2, "ae_width": 10, "clf_width": 30}
+    a = train_method(METHODS["deep_rvfl_dense_l2"], params, X, Y, 9)
+    for noise, same in ((0.0, True), (0.1, False)):
+        b = train_method(METHODS["deep_rvfl_dense_denoise_l2"], dict(params, noise=noise),
+                         X, Y, 9)
+        assert all(np.array_equal(ea.decoder, eb.decoder)
+                   for ea, eb in zip(a.encoders, b.encoders)) == same
+        assert np.array_equal(a.classifier.weights, b.classifier.weights) == same
 
 
 def test_plain_and_direct_share_encoder_weights(blobs):

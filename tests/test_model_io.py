@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randnet.autoencoders import AutoencoderSpec, CorruptionSpec, EncoderWeights, KernelDecoder
+from randnet.autoencoders import AutoencoderSpec, EncoderWeights, KernelDecoder
 from randnet.data import ScalingStats
 from randnet.deep import (
     CONNECTIVITIES,
@@ -67,8 +67,7 @@ def test_kelm_roundtrip(blobs, tmp_path):
 def test_deep_roundtrip_all_variants(blobs, tmp_path):
     X, Y = blobs
     layers = [
-        AutoencoderSpec(width=8, reg=RidgeConfig(lam=0.1),
-                        corruption=CorruptionSpec("gaussian", sigma=0.1)),
+        AutoencoderSpec(width=8, reg=RidgeConfig(lam=0.1), noise=0.1),
         AutoencoderSpec(width=6, reg=L1Config(lam=0.5, max_iters=200)),
         AutoencoderSpec(width=5, reg=ElasticNetConfig(lam=0.5, max_iters=200)),
     ]
@@ -112,8 +111,7 @@ def _case_elm(X, Y):
 
 
 def _case_kelm_classifier_denoise(X, Y):
-    layers = [AutoencoderSpec(width=7, reg=RidgeConfig(lam=0.1),
-                              corruption=CorruptionSpec("gaussian", sigma=0.3))]
+    layers = [AutoencoderSpec(width=7, reg=RidgeConfig(lam=0.1), noise=0.3)]
     cfg = DeepConfig(layers=layers, connectivity="direct", classifier="kelm",
                      clf_kernel=KernelSpec("rbf", sigma=0.8), clf_lam=0.1, seed=5)
     return deep_train(X, Y, cfg)
@@ -155,10 +153,6 @@ DECODERS = {
     "elastic": ElasticNetConfig(lam=0.5, max_iters=20),
     "kernel": KernelDecoder(KernelSpec("rbf", sigma=1.0), 0.1),
 }
-CORRUPTIONS = {
-    "none": CorruptionSpec(),
-    "gaussian": CorruptionSpec("gaussian", sigma=0.2),
-}
 RBF = KernelSpec("rbf", sigma=1.0)
 
 
@@ -177,7 +171,7 @@ def small_models(draw):
                           direct_links=classifier == "rvfl")[0], X
     layers = [AutoencoderSpec(width=draw(st.integers(1, 8)),
                               reg=DECODERS[draw(st.sampled_from(sorted(DECODERS)))],
-                              corruption=CORRUPTIONS[draw(st.sampled_from(sorted(CORRUPTIONS)))])
+                              noise=draw(st.sampled_from([0.2, 0.0])))
               for _ in range(draw(st.integers(1, 3)))]
     cfg = DeepConfig(layers=layers, connectivity=draw(st.sampled_from(CONNECTIVITIES)),
                      classifier=classifier, clf_width=width, clf_lam=0.1,
@@ -363,8 +357,8 @@ LAYERS = [AutoencoderSpec()]
     (lambda: KernelSpec("rbf", sigma=np.inf), "sigma must be > 0 and finite"),
     (lambda: KernelSpec("rbf", sigma=np.nan), "sigma must be > 0 and finite"),
     (lambda: KernelSpec("rbf", sigma=True), "sigma must be > 0 and finite"),
-    (lambda: CorruptionSpec("gaussian", sigma=np.nan), "sigma must be >= 0 and finite"),
-    (lambda: CorruptionSpec("gaussian", sigma=np.inf), "sigma must be >= 0 and finite"),
+    (lambda: AutoencoderSpec(noise=np.nan), "noise must be >= 0 and finite"),
+    (lambda: AutoencoderSpec(noise=np.inf), "noise must be >= 0 and finite"),
     (lambda: RidgeConfig(lam=True), "lam must be > 0 and finite"),
     (lambda: L1Config(max_iters=2.5), "max_iters must be an integer >= 1"),
     (lambda: ElasticNetConfig(max_iters=True), "max_iters must be an integer >= 1"),
@@ -408,7 +402,7 @@ def test_spec_rejects_invalid_field(make, message):
 def test_spec_accepts_numpy_floats():
     lam = np.float64(0.5)
     assert RidgeConfig(lam=lam).lam == L1Config(lam=lam).lam == lam
-    assert KernelSpec("rbf", sigma=lam).sigma == CorruptionSpec("gaussian", lam).sigma
+    assert KernelSpec("rbf", sigma=lam).sigma == AutoencoderSpec(noise=lam).noise
 
 
 @pytest.mark.parametrize("sigma", [float("inf"), True], ids=["inf", "bool"])
@@ -438,8 +432,7 @@ def _set_leaf(doc, path, value):
 
 
 def _case_dense_deep(X, Y):
-    layers = [AutoencoderSpec(width=6, reg=L1Config(lam=0.5, max_iters=20),
-                              corruption=CorruptionSpec("gaussian", sigma=0.2)),
+    layers = [AutoencoderSpec(width=6, reg=L1Config(lam=0.5, max_iters=20), noise=0.2),
               AutoencoderSpec(width=5, reg=ElasticNetConfig(lam=0.5, max_iters=20))]
     return deep_train(X, Y, DeepConfig(layers=layers, connectivity="dense", clf_width=12))
 
