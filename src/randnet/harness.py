@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError
-from .data import PARTITION_ROLES, fit_apply_scaling, load_manifest
+from .data import MAPPING, PARTITION_ROLES, STRING, checked, fit_apply_scaling, load_manifest
 from .methods import get_method
 from .model_io import replace_atomically, save_model
 from .numerics import blas_thread_counts, blas_threads
@@ -40,6 +40,12 @@ RESULT_COLUMNS = tuple(f.name for f in fields(EvalResult))
 TIME_COLUMNS = ("train_time_ms",)
 
 SWEEP_AXES = {"L": "layers", "N": "ae_width", "C": "C", "nu": "noise"}
+
+# the bench manifest; manifests written before the BLAS facts lack them
+_BENCH_MANIFEST_RULES = {"config_hash": STRING, "cells": MAPPING, "blas_threads": MAPPING,
+                         "lapack_library": (lambda v: v is None or isinstance(v, str),
+                                            "a string or null")}
+_CELL_ROW_RULES = dict.fromkeys(RESULT_COLUMNS, STRING)
 
 
 def materialize_dataset(decl, cfg):
@@ -169,6 +175,28 @@ def _ranked_maps(pool):
     return lambda rank: lambda fn, items: results([submit(rank, fn, i) for i in items])
 
 
+def read_bench_manifest(path):
+    """The bench manifest at path, each cell a complete row under its own
+    key; anything else raises a ConfigError naming path."""
+    def fail(message, _=None):
+        return ConfigError(f"{path}: {message}")
+
+    try:
+        manifest = json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as exc:
+        raise fail(f"not a readable bench manifest ({type(exc).__name__}: {exc})") from None
+    if not isinstance(manifest, dict):
+        raise fail("bench manifest must be a mapping")
+    checked(manifest, _BENCH_MANIFEST_RULES, fail, required=("config_hash", "cells"))
+    for key, row in manifest["cells"].items():
+        if not isinstance(row, dict):
+            raise fail(f"cell {key} must be a mapping, got {row!r}")
+        checked(row, _CELL_ROW_RULES, fail, required=RESULT_COLUMNS, subject=f"cell {key} ")
+        if key != f"{row['dataset']}::{row['method']}":
+            raise fail(f"cell {key} holds the row of {row['dataset']}::{row['method']}")
+    return manifest
+
+
 def run_bench(cfg, out_dir, resume=False):
     """Grid search over every (dataset, method) cell; resumable.
 
@@ -189,12 +217,12 @@ def run_bench(cfg, out_dir, resume=False):
     digest = config_hash(cfg)
     manifest = {}
     if resume and manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text())
-        if manifest.get("config_hash") != digest:
+        manifest = read_bench_manifest(manifest_path)
+        if manifest["config_hash"] != digest:
             raise ConfigError(
                 "bench manifest belongs to a different config; refusing to resume"
             )
-        log.info("resuming: %d cells already complete", len(manifest.get("cells", {})))
+        log.info("resuming: %d cells already complete", len(manifest["cells"]))
     completed = manifest.get("cells", {})
 
     datasets = {}
@@ -323,6 +351,8 @@ def run_sweep(cfg, dataset_name, method_name, axes, out_dir):
             raise ConfigError(
                 f"unknown sweep axis {axis!r}; expected a subset of "
                 f"{sorted(SWEEP_AXES)}")
+    if not axes or len(set(axes)) < len(axes):
+        raise ConfigError(f"sweep needs at least one axis, each named once; got {list(axes)}")
     ds, method, mdecl = _cell(cfg, dataset_name, method_name)
     grid = cfg.grid_for(mdecl)
     points = [{}]

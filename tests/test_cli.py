@@ -19,7 +19,7 @@ import randnet.harness
 import randnet.numerics
 import randnet.selection
 from randnet.cli import build_parser, main
-from randnet.config import ConfigError, load_config
+from randnet.config import _SYNTH_RULES, _TOP_RULES, ConfigError, load_config
 from randnet.data import DataFormatError, load_manifest
 from randnet.harness import (
     TIME_COLUMNS,
@@ -403,15 +403,19 @@ def test_bench_rejects_badly_typed_manifest_value(tmp_path, capsys, partitions, 
     assert not (out / "results.csv").exists()
 
 
+def run_child(code, **env):
+    """Run python code in a child process that imports this randnet."""
+    src = str(Path(randnet.harness.__file__).parents[1])
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats costs about half of a cold start; nothing in randnet needs it
-    code = ("import sys, randnet, randnet.cli, randnet.model_io; "
-            "print('scipy.stats' in sys.modules)")
-    src = str(Path(randnet.harness.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60, check=True)
+    out = run_child("import sys, randnet, randnet.cli, randnet.model_io; "
+                    "print('scipy.stats' in sys.modules)")
     assert out.stdout.strip() == "False"
 
 
@@ -535,6 +539,69 @@ def test_bench_resume_rejects_config_change(config_path, tmp_path, interrupt_aft
     cfg.seeds = [5]
     with pytest.raises(ConfigError, match="different config"):
         run_bench(cfg, tmp_path / "int", resume=True)
+
+
+def _truncated(text, manifest):
+    return text[:16]
+
+
+def _nested(text, manifest):
+    return text.replace('"cells":', '"cells":' + "[" * 100_000, 1)
+
+
+def _edited(edit):
+    def rewrite(text, manifest):
+        edit(manifest, next(iter(manifest["cells"])))
+        return json.dumps(manifest)
+    return rewrite
+
+
+@pytest.mark.parametrize("rewrite, message", [
+    (_truncated, "not a readable bench manifest (JSONDecodeError: "),
+    (lambda text, manifest: json.dumps([manifest]), "bench manifest must be a mapping"),
+    (_edited(lambda m, key: m.update(cells=list(m["cells"].values()))),
+     "cells must be a mapping, got ["),
+    (_edited(lambda m, key: m["cells"].update({key: "done"})), "must be a mapping, got 'done'"),
+    (_edited(lambda m, key: m["cells"][key].update(seed="0")), "unknown key 'seed'"),
+    (_edited(lambda m, key: m["cells"].update({key: {"dataset": "arcs"}})),
+     "method must be a string, got None"),
+    (_edited(lambda m, key: m["cells"][key].update(dataset="blobs")),
+     "cell arcs::rvfl holds the row of blobs::rvfl"),
+    (_nested, "not a readable bench manifest (RecursionError: "),
+], ids=["truncated", "top_list", "cells_list", "string_row", "extra_key", "only_dataset",
+        "other_key", "deep"])
+def test_bench_resume_refuses_malformed_manifest(config_path, tmp_path, interrupt_after,
+                                                 capsys, rewrite, message):
+    # each edit exited 1 with a Python-internal message, or 0 writing a
+    # blank row; now resume refuses it, naming the file, before any cell runs
+    out = tmp_path / "int"
+    with interrupt_after(1), pytest.raises(KeyboardInterrupt):
+        run_bench(load_config(config_path), out)
+    manifest_path = out / "bench_manifest.json"
+    text = manifest_path.read_text()
+    manifest_path.write_text(rewrite(text, json.loads(text)))
+    before = manifest_path.read_bytes()
+    assert main(["bench", "--config", str(config_path), "--out", str(out), "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {manifest_path}: " in err
+    assert message in err
+    assert manifest_path.read_bytes() == before
+    assert not (out / "results.csv").exists()
+
+
+def test_bench_resumes_manifest_without_blas_facts(config_path, tmp_path, interrupt_after):
+    # manifests written before the BLAS facts were recorded still resume
+    cfg = load_config(config_path)
+    ref = run_bench(cfg, tmp_path / "ref")
+    out = tmp_path / "int"
+    with interrupt_after(2), pytest.raises(KeyboardInterrupt):
+        run_bench(cfg, out)
+    manifest_path = out / "bench_manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["blas_threads"], manifest["lapack_library"]
+    manifest_path.write_text(json.dumps(manifest))
+    resumed = run_bench(cfg, out, resume=True)
+    assert strip_time(read_results_csv(ref)) == strip_time(read_results_csv(resumed))
 
 
 def test_bench_parallel_matches_sequential(config_path, tmp_path):
@@ -736,6 +803,45 @@ def test_bench_parallel_caps_driver_threads(config_path, tmp_path, monkeypatch):
     rows = read_results_csv(run_bench(cfg, tmp_path / "par"))
     assert len(rows) == 6 and not any(r["error"] for r in rows)
     assert len(drivers) == 2  # 6 cells, more than 2 * parallelism
+
+
+THREADS_CONFIG = """\
+seeds: [0]
+datasets:
+  - name: arcs
+    synthetic: {kind: arcs, n_train: 150, n_val: 60, n_test: 60, noise: 0.15, seed: 7}
+methods:
+  - name: rvfl
+    params: {clf_width: 60, C: 10.0}
+    grid: {clf_widths: [60], C_values: [10.0]}
+  - name: kelm
+    params: {sigma: 1.0, C: 10.0}
+    grid: {sigma_values: [1.0], C_values: [10.0]}
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 cores for 2 BLAS threads")
+def test_bench_rows_hold_across_blas_thread_counts(tmp_path):
+    # OpenBLAS reads its thread count once, at load, so each count gets a
+    # child process. The kelm model's bits differ between the counts while
+    # the rows stay equal apart from time, and each manifest names its count
+    config = tmp_path / "run.yaml"
+    config.write_text(THREADS_CONFIG)
+    outputs = {}
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        run_child("import sys; from randnet.cli import main; sys.exit("
+                  f"main(['bench', '--config', {str(config)!r}, '--out', {str(out)!r}]) or "
+                  f"main(['train', '--config', {str(config)!r}, '--dataset', 'arcs', "
+                  f"'--method', 'kelm', '--out', {str(out)!r}]))",
+                  OPENBLAS_NUM_THREADS=str(threads))
+        facts = json.loads((out / "bench_manifest.json").read_text())["blas_threads"]
+        assert facts and set(facts.values()) == {threads}
+        outputs[threads] = out
+    rows = [strip_time(read_results_csv(out / "results.csv")) for out in outputs.values()]
+    assert rows[0] == rows[1] and len(rows[0]) == 2
+    models = [(out / "arcs__kelm__seed0.rnm").read_bytes() for out in outputs.values()]
+    assert models[0] != models[1]
 
 
 def test_bench_manifest_records_blas_facts(config_path, tmp_path, interrupt_after, caplog):
@@ -1035,6 +1141,17 @@ def test_sweep_rejects_unknown_axis(config_path, tmp_path):
         run_sweep(cfg, "blobs", "rvfl", ("Q",), tmp_path / "sweep")
 
 
+@pytest.mark.parametrize("axes", ["C,C", ""], ids=["repeated", "empty"])
+def test_sweep_rejects_repeated_or_empty_axes(config_path, tmp_path, capsys, axes):
+    # "C,C" wrote four rows whose two C cells agreed, "" one row with no
+    # axis column; both exited 0
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(config_path), "--dataset", "arcs",
+                 "--method", "rvfl", "--axes", axes, "--out", str(out)]) == 2
+    assert "sweep needs at least one axis, each named once" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_noise_axis_total(config_path, tmp_path):
     # accuracy is defined (never NaN) down to near-zero corruption
     cfg = load_config(config_path)
@@ -1092,3 +1209,17 @@ def test_readme_names_exactly_the_cli_flags_and_params():
         assert set(re.findall(r"--[\w-]+", usages[name])) == flags, name
     params = re.search(r"In `params`,(.*?)Each `grid` axis", readme, re.S).group(1)
     assert set(re.findall(r"`(\w+)`", params)) - set(ACTIVATION_NAMES) == set(PARAMS)
+
+
+def test_readme_names_exactly_the_run_config_keys():
+    # README's run-config bullets name the top-level keys and each synthetic
+    # kind's keys that config.py's rule tables admit, no more and no less
+    readme = (ROOT / "README.md").read_text()
+    top = re.search(r"The values:\n\n\* (.*?)\n\* ", readme, re.S).group(1)
+    scaling = {"minmax", "zscore", "none"}
+    assert set(re.findall(r"`(\w+)`", top)) - {"true", "false"} - scaling == set(_TOP_RULES)
+    synthetic = re.search(r"In a\s+`synthetic` entry,(.*?)\n\* ", readme, re.S).group(1)
+    named = re.findall(r"`(\w+)`(?:\s+\((\w+)\))?", synthetic)
+    for kind, rules in _SYNTH_RULES.items():
+        keys = {key for key, only in named if key not in _SYNTH_RULES and only in ("", kind)}
+        assert keys == set(rules), kind
