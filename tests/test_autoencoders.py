@@ -94,9 +94,10 @@ def test_l2_ae_decoder_is_exactly_ridge():
 
 
 def test_zero_intensity_corruption_bitwise_equals_none():
+    # a config's "noise: 0" arrives as the integer 0
     Hin = square_problem(9)
     base = AutoencoderSpec(width=15, reg=RidgeConfig(lam=0.1))
-    zero_g = AutoencoderSpec(width=15, reg=RidgeConfig(lam=0.1), noise=0.0)
+    zero_g = AutoencoderSpec(width=15, reg=RidgeConfig(lam=0.1), noise=0)
     enc0 = rand_ae_train(Hin, base, RngState(10))
     enc1 = rand_ae_train(Hin, zero_g, RngState(10))
     np.testing.assert_array_equal(enc0.decoder, enc1.decoder)
