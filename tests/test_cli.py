@@ -572,8 +572,8 @@ def _edited(edit):
         "other_key", "deep"])
 def test_bench_resume_refuses_malformed_manifest(config_path, tmp_path, interrupt_after,
                                                  capsys, rewrite, message):
-    # each edit exited 1 with a Python-internal message, or 0 writing a
-    # blank row; now resume refuses it, naming the file, before any cell runs
+    # resume refuses each defect as a config error naming the file, before
+    # any cell runs: no manifest write, no results.csv
     out = tmp_path / "int"
     with interrupt_after(1), pytest.raises(KeyboardInterrupt):
         run_bench(load_config(config_path), out)
@@ -1143,8 +1143,8 @@ def test_sweep_rejects_unknown_axis(config_path, tmp_path):
 
 @pytest.mark.parametrize("axes", ["C,C", ""], ids=["repeated", "empty"])
 def test_sweep_rejects_repeated_or_empty_axes(config_path, tmp_path, capsys, axes):
-    # "C,C" wrote four rows whose two C cells agreed, "" one row with no
-    # axis column; both exited 0
+    # a repeated axis would overwrite its own values, and no axis would
+    # leave a one-row sweep without an axis column
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", str(config_path), "--dataset", "arcs",
                  "--method", "rvfl", "--axes", axes, "--out", str(out)]) == 2
