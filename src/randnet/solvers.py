@@ -19,9 +19,11 @@ ADMM's W-update, is solved by LAPACK ``potrf`` + ``potrs`` (Cholesky
 factor and solve, upper triangle; Anderson et al., LAPACK Users' Guide,
 1999), the pair that ``scipy.linalg.solve(assume_a="pos")`` runs, so the
 bits are the same. A path's matrix and right-hand side are checked for
-finiteness once, not once per lam. A shifted system whose reciprocal
-condition number falls below machine epsilon emits scipy's
-``LinAlgWarning``; one whose Cholesky fails logs a warning and is solved
+finiteness once, not once per lam, and every lam is factored in the one
+n x n matrix the path owns. A shifted system whose reciprocal condition
+number falls below machine epsilon emits scipy's ``LinAlgWarning``; the
+estimate runs from the smallest lam up until one system is well
+conditioned. A system whose Cholesky fails logs a warning and is solved
 as symmetric indefinite instead.
 
 The LAPACK routines are those of numpy's own OpenBLAS, bound through
@@ -140,8 +142,8 @@ class _NumpyLapack:
     The library uses 64-bit integers. Like scipy's wrappers, each routine
     overwrites fresh Fortran-order copies and returns them, unless
     ``overwrite_a`` lets ``dpotrf`` factor a Fortran-order float64 matrix
-    in place; ``dpotrf`` leaves the lower triangle as it was, as
-    ``scipy.linalg.cho_factor`` does.
+    in place; ``dpotrf`` leaves the lower triangle as it was, as scipy's
+    does at ``clean=0``, the one value it takes.
     """
 
     def __init__(self, library, routines):
@@ -151,7 +153,7 @@ class _NumpyLapack:
         routines["dlange"].restype = ctypes.c_double
         self._fn = routines
 
-    def dpotrf(self, a, overwrite_a=False):
+    def dpotrf(self, a, overwrite_a=False, clean=0):
         c, info = _lapack_array(a, copy=not overwrite_a, square=True), ctypes.c_int64()
         n = c.shape[0]
         self._fn["dpotrf"](b"U", _int(n), c.ctypes.data, _int(max(1, n)), ctypes.byref(info), 1)
@@ -201,50 +203,65 @@ def _lapack():
     return NUMPY_LAPACK or lapack
 
 
-def _shifted_solves(G, B, lams):
-    """Solve (G + lam I) X = B for each lam by LAPACK potrf + potrs, leaving G as it is.
+def _mirror_lower(A):
+    """Copy A's strict lower triangle onto its strict upper one, 64 rows at a time."""
+    for c in range(0, len(A), 64):
+        A[c:c + 64, c + 64:] = A[c + 64:, c:c + 64].T
+        block = A[c:c + 64, c:c + 64]
+        upper = np.triu_indices(len(block), 1)
+        block[upper] = block.T[upper]
 
-    Each solve copies G into one work array per path, in Fortran order,
-    the layout LAPACK reads: a flat copy when G is Fortran-ordered, as the
-    ridge and kernel fits pass it. The work array's diagonal is set
-    from a copy of G's own, the same addition ``G[idx] += lam`` makes on
-    a fresh G, so every solve sees the matrix a one-lam fit would build.
-    potrf overwrites the work array with the factor and potrs hands the
-    solution back in Fortran order; it is returned C-contiguous as
-    scipy.linalg.solve returns it, since products with it round by layout.
+
+def _shifted_solves(A, B, lams):
+    """Solve (G + lam I) X = B for each lam by LAPACK potrf + potrs, in A.
+
+    A is a Fortran-order matrix the path owns and overwrites: its strict
+    lower triangle holds G's strict upper one, transposed, and its
+    diagonal G's. potrf factors the upper triangle and never touches the
+    strict lower one, so before each lam the upper triangle is rebuilt
+    from it and the diagonal set from a copy of G's own, the same
+    addition ``G[idx] += lam`` makes on a fresh G: every solve sees the
+    matrix a one-lam fit would build. The lams run from the smallest up,
+    and the condition estimate only until one system is well conditioned,
+    since the condition number of G + lam I falls as lam grows. The
+    solutions come back in the order of lams and C-contiguous, as
+    scipy.linalg.solve returns them, since products with them round by layout.
     """
-    check_finite("Gram matrix", G)
+    check_finite("Gram matrix", A)
     check_finite("right-hand side", B)
-    B = np.asfortranarray(B)
-    idx = np.diag_indices_from(G)
-    d0 = G[idx]  # advanced indexing copies
-    work = np.empty(G.shape, order="F")
+    A, B = _lapack_array(A, copy=False, square=True), np.asfortranarray(B)
+    idx = np.diag_indices_from(A)
+    d0 = A[idx]  # advanced indexing copies
+    lp = _lapack()
+    solutions, conditioned = [None] * len(lams), False
 
     def shifted(diagonal):
-        work[...] = G
-        work[idx] = diagonal
-        return work
+        _mirror_lower(A)
+        A[idx] = diagonal
+        return A
 
-    lp = _lapack()
-    solutions = []
-    for lam in lams:
-        diagonal = d0 + lam
+    for i in np.argsort(lams, kind="stable"):
+        diagonal = d0 + lams[i]
         check_finite("shifted Gram diagonal", diagonal)
-        anorm = lp.dlange("1", shifted(diagonal))  # as scipy.linalg.solve takes it
-        factor, info = lp.dpotrf(work, overwrite_a=True)
+        shifted(diagonal)
+        if not conditioned:
+            anorm = lp.dlange("1", A)  # as scipy.linalg.solve takes it
+        _, info = lp.dpotrf(A, overwrite_a=True, clean=0)
         if info < 0:
             raise ValueError(f"LAPACK dpotrf: argument {-info} has an illegal value")
         if info > 0:
             log.warning("Cholesky failed on a %d x %d system; "
-                        "solving it as symmetric indefinite", *G.shape)
-            solutions.append(scipy.linalg.solve(shifted(diagonal), B, assume_a="sym"))
+                        "solving it as symmetric indefinite", *A.shape)
+            solutions[i] = scipy.linalg.solve(shifted(diagonal), B, assume_a="sym")
             continue
-        X, _ = lp.dpotrs(factor, B)
-        rcond, _ = lp.dpocon(factor, anorm)
-        if rcond < np.finfo(np.float64).eps:
-            warnings.warn(f"An ill-conditioned matrix detected: rcond = {rcond:.6g}.",
-                          scipy.linalg.LinAlgWarning, stacklevel=2)
-        solutions.append(np.ascontiguousarray(X))
+        X, _ = lp.dpotrs(A, B)
+        if not conditioned:
+            rcond, _ = lp.dpocon(A, anorm)
+            conditioned = not rcond < np.finfo(np.float64).eps
+            if not conditioned:
+                warnings.warn(f"An ill-conditioned matrix detected: rcond = {rcond:.6g}.",
+                              scipy.linalg.LinAlgWarning, stacklevel=2)
+        solutions[i] = np.ascontiguousarray(X)
     return solutions
 
 
@@ -316,15 +333,15 @@ def kernel_matrix(X1, X2, spec):
         )
     if spec.kind == "linear":
         return X1 @ X2.T
-    sq = (
-        np.sum(X1 * X1, axis=1)[:, None]
-        + np.sum(X2 * X2, axis=1)[None, :]
-        - 2.0 * (X1 @ X2.T)
-    )
+    sq = X1 @ X2.T
+    sq *= 2.0
+    norms = np.sum(X1 * X1, axis=1)[:, None] + np.sum(X2 * X2, axis=1)[None, :]
+    np.subtract(norms, sq, out=sq)
     np.maximum(sq, 0.0, out=sq)
     if X1 is X2:
         np.fill_diagonal(sq, 0.0)
-    return np.exp(-sq / (2.0 * spec.sigma**2))
+    sq /= -2.0 * spec.sigma**2  # -sq / (2 sigma^2), bit for bit
+    return np.exp(sq, out=sq)
 
 
 def krr_fit(K, Y, lam):
@@ -338,13 +355,14 @@ def krr_fit(K, Y, lam):
     if Y.ndim != 2 or Y.shape[0] != K.shape[0]:
         raise ShapeError("target rows must match the kernel matrix")
     _check_lams(lam)
-    if np.array_equal(K, K.T):
-        # K equals K.T, whose Fortran order each solve copies flat
-        return _shifted_solves(K.T, Y, lam)
-    scale = max(1.0, float(np.max(np.abs(K))))
-    if float(np.max(np.abs(K - K.T))) > 1e-8 * scale:
-        raise ValueError("kernel matrix is not symmetric within tolerance")
-    return _shifted_solves(K, Y, lam)
+    # K.T in Fortran order, a flat copy of K: its strict lower triangle
+    # holds K's strict upper one, the triangle the solves read
+    A = np.array(K.T, order="F")
+    if not all(np.array_equal(A[:, c:c + 64], A[c:c + 64].T) for c in range(0, len(A), 64)):
+        scale = max(1.0, float(np.max(np.abs(A))))
+        if float(np.max(np.abs(A - A.T))) > 1e-8 * scale:
+            raise ValueError("kernel matrix is not symmetric within tolerance")
+    return _shifted_solves(A, Y, lam)
 
 
 @dataclass

@@ -1,6 +1,8 @@
 import io
 import logging
 import re
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -381,7 +383,7 @@ def test_ridge_primal_dual_path_agree(n, p, k, seed, lams):
                                    atol=1e-9 * max(1.0, float(np.max(np.abs(bp)))))
 
 
-def test_cholesky_fallback_is_logged(caplog):
+def test_cholesky_fallback_is_logged(caplog, monkeypatch):
     K = np.array([[0.0, 2.0], [2.0, 0.0]])  # symmetric, indefinite once shifted
     Y = np.array([[1.0], [0.0]])
     with caplog.at_level(logging.WARNING, logger="randnet.solvers"):
@@ -392,6 +394,20 @@ def test_cholesky_fallback_is_logged(caplog):
     (record,) = caplog.records
     assert record.levelno == logging.WARNING
     assert "Cholesky failed on a 2 x 2 system" in record.getMessage()
+    # K + 3 I is positive definite: on a path, in either order, it is
+    # factored in the matrix whose upper triangle the failed factor of
+    # K + 0.5 I overwrote in part
+    for numpy_lapack in (solvers.NUMPY_LAPACK, None):
+        monkeypatch.setattr(solvers, "NUMPY_LAPACK", numpy_lapack)
+        alone = {lam: krr_fit(K, Y, [lam])[0].tobytes() for lam in (0.5, 3.0)}
+        assert alone[0.5] == scipy.linalg.solve(K + 0.5 * np.eye(2), Y,
+                                                assume_a="sym").tobytes()
+        for lams in ([0.5, 3.0], [3.0, 0.5]):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="randnet.solvers"):
+                path = krr_fit(K, Y, lams)
+            assert [alpha.tobytes() for alpha in path] == [alone[lam] for lam in lams]
+            assert len(caplog.records) == 1
 
 
 # -------------------------------------------------- the Cholesky solve path
@@ -571,6 +587,93 @@ def test_blas_threads_sets_every_library_the_walk_reports(monkeypatch):
 def test_ill_conditioned_solve_warns():
     with pytest.warns(scipy.linalg.LinAlgWarning, match="ill-conditioned"):
         krr_fit(np.diag([1.0, 1e-18]), np.ones((2, 1)), [1e-18])
+
+
+class CountingLapack:
+    """A LAPACK binding that counts the calls of each routine it passes on."""
+
+    def __init__(self, lp):
+        self.lp, self.calls = lp, {}
+
+    def __getattr__(self, name):
+        fn = getattr(self.lp, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return counted
+
+
+def ill_conditioned_messages(fit):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit()
+    return sorted(str(w.message) for w in caught
+                  if issubclass(w.category, scipy.linalg.LinAlgWarning))
+
+
+def test_path_warns_for_exactly_the_lams_a_one_lam_fit_warns_for(monkeypatch):
+    # K's eigenvalues run from 3 down to 1e-30, so the condition number of
+    # K + lam I falls with lam through 1 / eps; the path checks it from the
+    # smallest lam up and stops at the first well-conditioned system
+    K = np.diag(np.logspace(0, -30, 6))
+    K[:2, :2] = [[2.0, 1.0], [1.0, 2.0]]
+    Y = np.ones((6, 2))
+    lams = [1e-12, 1e-17, 1e-14, 1e-18, 1e-13, 1e-16, 1e-15]
+    for numpy_lapack in (solvers.NUMPY_LAPACK, None):
+        monkeypatch.setattr(solvers, "NUMPY_LAPACK", numpy_lapack)
+        alone = [m for lam in lams for m in ill_conditioned_messages(
+            lambda: krr_fit(K, Y, [lam]))]
+        assert len(alone) == 3
+        assert ill_conditioned_messages(lambda: krr_fit(K, Y, lams)) == sorted(alone)
+
+
+def test_well_conditioned_path_estimates_the_condition_once(monkeypatch):
+    D, Y = random_problem(40, 50, 8)
+    lams = [10.0, 0.1, 1e3, 1.0, 3.0, 0.3, 1e2, 30.0]
+    for lp in (solvers.NUMPY_LAPACK or scipy.linalg.lapack, scipy.linalg.lapack):
+        counting = CountingLapack(lp)
+        monkeypatch.setattr(solvers, "NUMPY_LAPACK", counting)
+        ridge_primal(D, Y, lams)
+        assert counting.calls == {"dlange": 1, "dpotrf": 8, "dpotrs": 8, "dpocon": 1}
+
+
+@pytest.mark.parametrize("lams", [[1.0], [1e-7, 1.0, 1e3]], ids=["1lam", "3lam"])
+def test_closed_form_fits_leave_their_inputs_unchanged(lams, monkeypatch):
+    # every path factors in a matrix of its own, never in the caller's
+    D, Y = random_problem(41, 150, 130)
+    X = D[:, :6].copy()
+    K = kernel_matrix(X, X, KernelSpec("rbf", sigma=2.0))
+    K_near = K + np.triu(RngState(42).uniform(150, 150, 0.0, 1e-12), 1)
+    fits = [(ridge_primal, D, Y), (ridge_dual, D, Y), (krr_fit, K, Y), (krr_fit, K_near, Y),
+            (krr_fit, np.asfortranarray(K_near), Y),
+            (lambda X, T, lam: fit_kernel_map(X, T, KernelSpec("rbf", sigma=2.0), lam), X, Y)]
+    for numpy_lapack in (solvers.NUMPY_LAPACK, None):
+        monkeypatch.setattr(solvers, "NUMPY_LAPACK", numpy_lapack)
+        for fit, A, B in fits:
+            before = (A.tobytes(order="A"), B.tobytes(order="A"))
+            fit(A, B, lams)
+            assert (A.tobytes(order="A"), B.tobytes(order="A")) == before
+
+
+def traced_peak(fn):
+    """Bytes fn allocates at its peak, beyond what was allocated before it ran."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_c_path_and_kernel_matrix_hold_few_n_by_n_matrices():
+    # numpy reports its allocations to tracemalloc; 8 lams share one
+    # n x n matrix, and the rbf kernel is built in its distance buffer
+    D, Y = random_problem(43, 600, 650, 2)
+    n_by_n = 600 * 600 * 8
+    assert traced_peak(lambda: ridge_dual(D, Y, list(np.logspace(-3, 3, 8)))) <= 1.5 * n_by_n
+    X = D[:, :20].copy()
+    assert traced_peak(lambda: kernel_matrix(X, X, KernelSpec("rbf"))) <= 2.1 * n_by_n
 
 
 def test_gram_overflow_is_rejected():
