@@ -325,7 +325,8 @@ def kernel_matrix(X1, X2, spec):
 
     For rbf, k(x, y) = exp(-||x - y||^2 / (2 sigma^2)). Passing the same
     array object for X1 and X2 gives an exactly symmetric matrix (numpy
-    forms X X' by syrk, as in :func:`_gram`) with unit diagonal.
+    forms X X' by syrk, as in :func:`_gram`) with unit diagonal. The rbf
+    matrix is exponentiated in its own squared-distance buffer.
     """
     if X1.ndim != 2 or X2.ndim != 2 or X1.shape[1] != X2.shape[1]:
         raise ShapeError(
@@ -348,7 +349,9 @@ def krr_fit(K, Y, lam):
     """Representer coefficients Alpha solving (K + lam I) Alpha = Y at each
     lam of the path.
 
-    KernelMap.apply predicts on new rows with these coefficients.
+    KernelMap.apply predicts on new rows with these coefficients. K is
+    left as it is: the path factors one copy of it, and a K symmetric only
+    within 1e-8 of its largest entry is solved on its upper triangle.
     """
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ShapeError(f"kernel matrix must be square, got {K.shape}")

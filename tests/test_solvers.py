@@ -472,6 +472,8 @@ def test_numpy_lapack_is_bitwise_scipy_lapack(n, k, blas):
     assert X.flags["F_CONTIGUOUS"] and X.tobytes(order="A") == x.tobytes(order="A")
     cho = scipy.linalg.cho_factor(G)
     assert factor.tobytes(order="A") == cho[0].tobytes(order="A")
+    assert factor.tobytes(order="A") == scipy.linalg.lapack.dpotrf(
+        G, clean=0)[0].tobytes(order="A")
     assert X.tobytes(order="A") == scipy.linalg.cho_solve(cho, B).tobytes(order="A")
     # in place, a Fortran-order float64 matrix becomes that same factor
     work = np.asfortranarray(G)
