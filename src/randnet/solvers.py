@@ -24,7 +24,7 @@ n x n matrix the path owns. A shifted system whose reciprocal condition
 number falls below machine epsilon emits scipy's ``LinAlgWarning``; the
 estimate runs from the smallest lam up until one system is well
 conditioned. A system whose Cholesky fails logs a warning and is solved
-as symmetric indefinite instead.
+as symmetric indefinite instead, by ``scipy.linalg.solve``.
 
 The LAPACK routines are those of numpy's own OpenBLAS, bound through
 ctypes, so that every product and every solve runs in one BLAS thread
@@ -33,7 +33,9 @@ one library ends, its worker keeps spinning and takes a core from the
 other's next call. numpy's is the loaded OpenBLAS with 64-bit integers
 that exports them (see :func:`randnet.numerics.loaded_openblas`); where
 none does (a numpy built on another BLAS), the same routines run through
-``scipy.linalg.lapack``.
+``scipy.linalg.lapack``. That path, the warning and the fallback import
+``scipy.linalg`` only when they run: a process that takes none of them
+never maps its 6 MB.
 """
 
 import ctypes
@@ -42,8 +44,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
 from .data import POSITIVE, check_fields, integer, is_number, one_of
 from .numerics import ShapeError, check_finite, loaded_openblas, openblas_routine
@@ -200,7 +200,10 @@ NUMPY_LAPACK = _bind_numpy_lapack()
 
 
 def _lapack():
-    return NUMPY_LAPACK or lapack
+    if NUMPY_LAPACK is None:
+        from scipy.linalg import lapack
+        return lapack
+    return NUMPY_LAPACK
 
 
 def _mirror_lower(A):
@@ -215,17 +218,19 @@ def _mirror_lower(A):
 def _shifted_solves(A, B, lams):
     """Solve (G + lam I) X = B for each lam by LAPACK potrf + potrs, in A.
 
-    A is a Fortran-order matrix the path owns and overwrites: its strict
-    lower triangle holds G's strict upper one, transposed, and its
-    diagonal G's. potrf factors the upper triangle and never touches the
-    strict lower one, so before each lam the upper triangle is rebuilt
-    from it and the diagonal set from a copy of G's own, the same
-    addition ``G[idx] += lam`` makes on a fresh G: every solve sees the
-    matrix a one-lam fit would build. The lams run from the smallest up,
-    and the condition estimate only until one system is well conditioned,
-    since the condition number of G + lam I falls as lam grows. The
-    solutions come back in the order of lams and C-contiguous, as
-    scipy.linalg.solve returns them, since products with them round by layout.
+    A is a Fortran-order matrix the path owns and overwrites, and it comes
+    in exactly symmetric: the caller mirrors a G symmetric only within a
+    tolerance onto the triangle it means. potrf factors the upper triangle
+    and never touches the strict lower one, so before each later lam (and
+    before the symmetric-indefinite fallback) the upper triangle is rebuilt
+    from it, and before every lam the diagonal is set from a copy of G's
+    own, the same addition ``G[idx] += lam`` makes on a fresh G: every
+    solve sees the matrix a one-lam fit would build. The lams run from the
+    smallest up, and the condition estimate only until one system is well
+    conditioned, since the condition number of G + lam I falls as lam
+    grows. The solutions come back in the order of lams and C-contiguous,
+    as scipy.linalg.solve returns them, since products with them round by
+    layout.
     """
     check_finite("Gram matrix", A)
     check_finite("right-hand side", B)
@@ -234,16 +239,12 @@ def _shifted_solves(A, B, lams):
     d0 = A[idx]  # advanced indexing copies
     lp = _lapack()
     solutions, conditioned = [None] * len(lams), False
-
-    def shifted(diagonal):
-        _mirror_lower(A)
-        A[idx] = diagonal
-        return A
-
-    for i in np.argsort(lams, kind="stable"):
+    for rank, i in enumerate(np.argsort(lams, kind="stable")):
         diagonal = d0 + lams[i]
         check_finite("shifted Gram diagonal", diagonal)
-        shifted(diagonal)
+        if rank:  # the factor before overwrote the upper triangle
+            _mirror_lower(A)
+        A[idx] = diagonal
         if not conditioned:
             anorm = lp.dlange("1", A)  # as scipy.linalg.solve takes it
         _, info = lp.dpotrf(A, overwrite_a=True, clean=0)
@@ -252,15 +253,19 @@ def _shifted_solves(A, B, lams):
         if info > 0:
             log.warning("Cholesky failed on a %d x %d system; "
                         "solving it as symmetric indefinite", *A.shape)
-            solutions[i] = scipy.linalg.solve(shifted(diagonal), B, assume_a="sym")
+            from scipy.linalg import solve
+            _mirror_lower(A)
+            A[idx] = diagonal
+            solutions[i] = solve(A, B, assume_a="sym")
             continue
         X, _ = lp.dpotrs(A, B)
         if not conditioned:
             rcond, _ = lp.dpocon(A, anorm)
             conditioned = not rcond < np.finfo(np.float64).eps
             if not conditioned:
+                from scipy.linalg import LinAlgWarning
                 warnings.warn(f"An ill-conditioned matrix detected: rcond = {rcond:.6g}.",
-                              scipy.linalg.LinAlgWarning, stacklevel=2)
+                              LinAlgWarning, stacklevel=2)
         solutions[i] = np.ascontiguousarray(X)
     return solutions
 
@@ -359,12 +364,15 @@ def krr_fit(K, Y, lam):
         raise ShapeError("target rows must match the kernel matrix")
     _check_lams(lam)
     # K.T in Fortran order, a flat copy of K: its strict lower triangle
-    # holds K's strict upper one, the triangle the solves read
+    # holds K's strict upper one, the triangle the solves read, mirrored
+    # onto the upper one where K is symmetric only within tolerance
     A = np.array(K.T, order="F")
     if not all(np.array_equal(A[:, c:c + 64], A[c:c + 64].T) for c in range(0, len(A), 64)):
+        check_finite("Gram matrix", A)  # before the mirror hides a NaN
         scale = max(1.0, float(np.max(np.abs(A))))
         if float(np.max(np.abs(A - A.T))) > 1e-8 * scale:
             raise ValueError("kernel matrix is not symmetric within tolerance")
+        _mirror_lower(A)
     return _shifted_solves(A, Y, lam)
 
 
@@ -511,8 +519,8 @@ def admm_elastic_net(H, T, cfg):
     lp = _lapack()
     factor, info = lp.dpotrf(G, overwrite_a=True)
     if info > 0:
-        raise scipy.linalg.LinAlgError(f"{info}-th leading minor of the elastic-net "
-                                       "Gram matrix is not positive definite")
+        raise np.linalg.LinAlgError(f"{info}-th leading minor of the elastic-net "
+                                    "Gram matrix is not positive definite")
     HtT2 = 2.0 * (H.T @ T)
     l1 = cfg.lam * cfg.alpha_mix
     l2 = cfg.lam * (1.0 - cfg.alpha_mix)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -412,11 +413,34 @@ def run_child(code, **env):
                           text=True, timeout=120, check=True)
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about half of a cold start; nothing in randnet needs it
-    out = run_child("import sys, randnet, randnet.cli, randnet.model_io; "
-                    "print('scipy.stats' in sys.modules)")
-    assert out.stdout.strip() == "False"
+def test_cli_import_leaves_scipy_stats_unloaded(config_path, tmp_path):
+    # scipy.stats costs about half of a cold start; nothing in randnet needs
+    # it. scipy.linalg serves only paths no healthy run takes (the solves
+    # through scipy's LAPACK, a failed Cholesky, an ill-conditioned system),
+    # so it stays out of a bench, a train and a stats run too, and its
+    # LinAlgWarning still reaches the caller when a system is ill-conditioned
+    config, out = str(config_path), str(tmp_path / "out")
+    lines = run_child(textwrap.dedent(f"""\
+        import sys, warnings
+        import numpy as np
+        import randnet, randnet.cli, randnet.model_io
+        loaded = lambda: ('scipy.stats' in sys.modules, 'scipy.linalg' in sys.modules)
+        probe = lambda value: print('probe', value)
+        probe(loaded())
+        probe([randnet.cli.main(args) for args in (
+            ['bench', '--config', {config!r}, '--out', {out!r}],
+            ['train', '--config', {config!r}, '--dataset', 'arcs',
+             '--method', 'deep_rvfl_dense_l2', '--out', {out!r}],
+            ['stats', '--results', {out!r} + '/results.csv', '--out', {out!r}])])
+        probe(loaded())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter('always')
+            randnet.solvers.krr_fit(np.diag([1.0, 1e-18]), np.ones((2, 1)), [1e-18])
+        import scipy.linalg
+        probe([w.category is scipy.linalg.LinAlgWarning for w in caught])
+        """)).stdout.splitlines()
+    assert [line for line in lines if line.startswith("probe ")] == [
+        "probe (False, False)", "probe [0, 0, 0]", "probe (False, False)", "probe [True]"]
 
 
 # ------------------------------------------------------------------- train

@@ -410,6 +410,47 @@ def test_cholesky_fallback_is_logged(caplog, monkeypatch):
             assert len(caplog.records) == 1
 
 
+def counted_mirrors(monkeypatch):
+    """Count the calls of solvers._mirror_lower from here on."""
+    calls = []
+    mirror = solvers._mirror_lower
+    monkeypatch.setattr(solvers, "_mirror_lower", lambda A: calls.append(1) or mirror(A))
+    return calls
+
+
+@pytest.mark.parametrize("n,p", [(30, 20), (20, 30)])
+def test_exactly_symmetric_path_mirrors_only_after_a_factor(n, p, monkeypatch):
+    # the Gram and kernel matrices come in exactly symmetric, so the first
+    # shift is factored as it comes; each later one rebuilds the upper
+    # triangle the factor before overwrote
+    D, Y = random_problem(43, n, p)
+    K = kernel_matrix(D, D, KernelSpec("rbf", sigma=3.0))
+    lams = [1.0, 1e-3, 10.0, 1e-7, 0.1, 1e3, 3.0, 1e-2]
+    for fit, A in ((ridge_primal, D), (ridge_dual, D), (krr_fit, K)):
+        calls = counted_mirrors(monkeypatch)
+        one = fit(A, Y, [lams[0]])
+        assert len(calls) == 0
+        path = fit(A, Y, lams)
+        assert len(calls) == 7
+        assert path[0].tobytes() == one[0].tobytes()
+
+
+def test_near_symmetric_kernel_is_solved_on_its_upper_triangle(monkeypatch):
+    X, Y = random_problem(44, 20, 4)
+    K = kernel_matrix(X, X, KernelSpec("rbf", sigma=2.0))
+    K_near = K + np.triu(RngState(45).uniform(20, 20, 0.0, 1e-12), 1)
+    upper = np.triu(K_near) + np.triu(K_near, 1).T
+    calls = counted_mirrors(monkeypatch)
+    for lam in (1e-7, 1.0):
+        (alpha,) = krr_fit(K_near, Y, [lam])
+        assert alpha.tobytes() == shifted_solve(upper, Y, lam).tobytes()
+    assert len(calls) == 2  # krr_fit's own, once per fit
+    # a NaN on one side of the diagonal is refused, not mirrored away
+    K_near[3, 1] = np.nan
+    with pytest.raises(ValueError, match="Gram matrix contains NaN or Inf"):
+        krr_fit(K_near, Y, [1.0])
+
+
 # -------------------------------------------------- the Cholesky solve path
 
 ORACLE_LAMS = [1e-7, 1.0, 1e3]
