@@ -426,8 +426,9 @@ def test_exactly_symmetric_path_mirrors_only_after_a_factor(n, p, monkeypatch):
     D, Y = random_problem(43, n, p)
     K = kernel_matrix(D, D, KernelSpec("rbf", sigma=3.0))
     lams = [1.0, 1e-3, 10.0, 1e-7, 0.1, 1e3, 3.0, 1e-2]
+    calls = counted_mirrors(monkeypatch)
     for fit, A in ((ridge_primal, D), (ridge_dual, D), (krr_fit, K)):
-        calls = counted_mirrors(monkeypatch)
+        calls.clear()
         one = fit(A, Y, [lams[0]])
         assert len(calls) == 0
         path = fit(A, Y, lams)
