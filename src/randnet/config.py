@@ -16,6 +16,7 @@ from .data import (BOOL, FILE_NAME, MAPPING, NON_EMPTY_LIST, STRING, checked, in
                    is_path_name, one_of)
 from .methods import METHODS, check_param
 from .selection import GridSpec
+from .synthetic import GENERATORS
 
 
 class ConfigError(ValueError):
@@ -61,7 +62,7 @@ def load_yaml_with_lines(text):
 @dataclass
 class DatasetDecl:
     name: str
-    manifest: str | None = None
+    manifest: Path | None = None  # joined to the config file's directory
     synthetic: dict | None = None
 
 
@@ -69,7 +70,7 @@ class DatasetDecl:
 class MethodDecl:
     name: str
     params: dict = field(default_factory=dict)
-    grid: dict = field(default_factory=dict)
+    grid: GridSpec = field(default_factory=GridSpec)
 
 
 @dataclass
@@ -81,12 +82,6 @@ class RunConfig:
     parallelism: int = 1
     scaling: str = "minmax"
     retrain_with_validation: bool = False
-    base_dir: Path = Path(".")
-
-    @staticmethod
-    def grid_for(decl):
-        return GridSpec(**{key: tuple(value) if isinstance(value, list) else value
-                           for key, value in decl.grid.items()})
 
 
 _SEED = integer(0)
@@ -96,7 +91,7 @@ _TOP_RULES = {"datasets": NON_EMPTY_LIST, "methods": NON_EMPTY_LIST, "seeds": NO
               "parallelism": integer(1), "scaling": one_of("minmax", "zscore", "none"),
               "retrain_with_validation": BOOL}
 _DATASET_RULES = {"name": STRING, "manifest": FILE_NAME, "synthetic": MAPPING}
-_KIND = {"kind": one_of("blobs", "arcs")}
+_KIND = {"kind": one_of(*GENERATORS)}
 # each kind takes only the keys its generator reads
 _SYNTH_SHARED = {**_KIND, "seed": _SEED, "n_train": integer(1),
                  "n_val": integer(0), "n_test": integer(0)}
@@ -158,6 +153,8 @@ def load_config(path):
             synth, fail = entry["synthetic"], _fail_at(lines, p + ("synthetic",))
             checked({"kind": synth.get("kind")}, _KIND, fail, subject="synthetic ")
             checked(synth, _SYNTH_RULES[synth["kind"]], fail, subject="synthetic ")
+        else:
+            entry = dict(entry, manifest=path.parent / entry["manifest"])
         datasets.append(DatasetDecl(**entry))
 
     methods = []
@@ -167,16 +164,18 @@ def load_config(path):
                 check_param(key, value)
             except ValueError as exc:
                 raise _fail_at(lines, p + ("params",))(str(exc), key) from exc
-        checked(entry.get("grid", {}), _GRID_RULES, _fail_at(lines, p + ("grid",)))
-        decl = MethodDecl(**entry)
+        grid = checked(entry.get("grid", {}), _GRID_RULES, _fail_at(lines, p + ("grid",)))
         try:
-            RunConfig.grid_for(decl)
+            grid = GridSpec(**{key: value if key == "search" else tuple(value)
+                               for key, value in grid.items()})
         except ValueError as exc:
             raise _fail_at(lines, p)(f"invalid grid: {exc}", "grid") from exc
-        methods.append(decl)
+        methods.append(MethodDecl(**dict(entry, grid=grid)))
 
     fail = _fail_at(lines, ("seeds",))
     for i, seed in enumerate(doc.get("seeds", ())):
         checked({"seed": seed}, {"seed": _SEED}, lambda message, _: fail(message, i))
+        if seed in doc["seeds"][:i]:
+            raise fail(f"duplicate seed {seed}", i)
     rest = {key: value for key, value in doc.items() if key not in ("datasets", "methods")}
-    return RunConfig(datasets, methods, **rest, base_dir=path.parent)
+    return RunConfig(datasets, methods, **rest)

@@ -68,32 +68,30 @@ def load_csv(path, label_col=-1, header=False, delimiter=",", name=None):
 
     Every non-label cell must parse as a finite number; the label column
     may hold arbitrary tokens, which are mapped to class ids in sorted
-    order. Parse failures name the offending row and column (1-based).
+    order. Parse failures name the offending row by its file line, blank
+    lines and the header counted, and the column (both 1-based).
     """
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    rows = list(csv.reader(text.splitlines(), delimiter=delimiter))
-    if header and rows:
-        rows = rows[1:]
-    rows = [r for r in rows if r]
+    reader = csv.reader(text.splitlines(), delimiter=delimiter)
+    # (file line, fields) of each row, numbered before blank lines drop
+    rows = [(reader.line_num, row) for row in reader][1 if header else 0:]
+    rows = [(line, row) for line, row in rows if row]
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
-    width = len(rows[0])
+    width = len(rows[0][1])
     if width < 2:
         raise DataFormatError(f"{path}: need at least one feature and a label column")
     col = label_col if label_col >= 0 else width + label_col
     if not 0 <= col < width:
         raise DataFormatError(f"{path}: label column {label_col} out of range for width {width}")
-    offset = 2 if header else 1
     features, raw_labels = [], []
-    for i, row in enumerate(rows):
+    for line, row in rows:
         if len(row) != width:
-            raise DataFormatError(
-                f"{path}: row {i + offset} has {len(row)} fields, expected {width}"
-            )
+            raise DataFormatError(f"{path}: row {line} has {len(row)} fields, expected {width}")
         vals = []
         for j, cell in enumerate(row):
             if j == col:
@@ -103,12 +101,12 @@ def load_csv(path, label_col=-1, header=False, delimiter=",", name=None):
                 v = float(cell)
             except ValueError:
                 raise DataFormatError(
-                    f"{path}: row {i + offset}, column {j + 1}: "
+                    f"{path}: row {line}, column {j + 1}: "
                     f"non-numeric feature value {cell.strip()!r}"
                 ) from None
             if not np.isfinite(v):
                 raise DataFormatError(
-                    f"{path}: row {i + offset}, column {j + 1}: non-finite value"
+                    f"{path}: row {line}, column {j + 1}: non-finite value"
                 )
             vals.append(v)
         features.append(vals)
@@ -180,22 +178,10 @@ def fit_apply_scaling(ds, method="minmax"):
     return replace(ds, X=stats.apply(ds.X)), stats
 
 
-def load_partition_indices(ds, files, disjoint=True):
-    """Attach named partitions read from index files and validate them.
-
-    files maps role -> path; each file holds one zero-based row index
-    per line. With disjoint=True (the published-split convention) any
-    overlap between roles is an error.
-    """
-    n = ds.X.shape[0]
-    partitions = {}
-    for role, path in files.items():
-        idx = _read_index_file(Path(path), n)
-        partitions[role] = idx
-    return attach_partitions(ds, partitions, disjoint)
-
-
 def attach_partitions(ds, partitions, disjoint=True):
+    """ds with the named partitions (role -> row indices) attached and
+    validated. With disjoint=True (the published-split convention) any
+    overlap between roles is an error."""
     n = ds.X.shape[0]
     for role, idx in partitions.items():
         idx = np.asarray(idx, dtype=np.int64)
@@ -226,7 +212,7 @@ def attach_partitions(ds, partitions, disjoint=True):
     return replace(ds, partitions=partitions)
 
 
-def _read_index_file(path, n):
+def _read_index_file(path):
     try:
         lines = path.read_text().split()
     except OSError as exc:
@@ -262,9 +248,8 @@ def load_manifest(path):
     parts = checked(doc["partitions"], _PARTITION_RULES, fail, subject="partitions.")
     base = path.parent
     ds = load_csv(base / spec.pop("path"), **spec, name=doc.get("name", path.stem))
-    files = {role: base / name for role, name in parts.items()}
-    flags = {"disjoint": doc["disjoint"]} if "disjoint" in doc else {}
-    return load_partition_indices(ds, files, **flags)
+    partitions = {role: _read_index_file(base / name) for role, name in parts.items()}
+    return attach_partitions(ds, partitions, doc.get("disjoint", True))
 
 
 # ------------------------------------------------------------ document rules

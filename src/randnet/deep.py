@@ -135,7 +135,7 @@ def deep_predict_path(models, X):
     return [shallow_predict(m.classifier, F, check_input=False) for m in models]
 
 
-def mlkelm_train(X, Y, spec, lam, layers, seed=0):
+def mlkelm_train(X, Y, spec, lam, layers):
     """Kernel stack: each of the layers and the classifier is a kernel-ridge
     map with the one kernel spec and weight lam.
 
@@ -154,7 +154,6 @@ def mlkelm_train(X, Y, spec, lam, layers, seed=0):
         classifier="kelm",
         clf_kernel=spec,
         clf_lam=lam,
-        seed=seed,
     )
     return deep_train(X, Y, cfg)
 

@@ -1,12 +1,12 @@
 """Command orchestration: single trainings, benchmark sweeps, and reports.
 
 A bench run keeps a manifest next to its results CSV recording the
-config hash and every completed (dataset, method) cell with its row, so
-an interrupted run resumed with the same config reproduces the
-uninterrupted CSV byte for byte (wall-clock time columns aside). All
-file writes funnel through one lock, and every file written here (the
-manifest, the result, stats and sweep files, the models) replaces its
-old version atomically.
+hash of the config and its data and every completed (dataset, method)
+cell with its row, so an interrupted run resumed with the same config
+and data reproduces the uninterrupted CSV byte for byte (wall-clock time
+columns aside). All file writes funnel through one lock, and every file
+written here (the manifest, the result, stats and sweep files, the
+models) replaces its old version atomically.
 """
 
 import csv
@@ -19,7 +19,7 @@ import queue
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ from .numerics import blas_thread_counts, blas_threads
 from .ranking import rank_report, rank_rows, report_markdown, significance_marks
 from .selection import EvalResult, evaluate_fixed, grid_search, grouped_accuracy
 from .solvers import NUMPY_LAPACK
-from .synthetic import interleaved_arcs, separable_blobs
+from .synthetic import GENERATORS
 
 log = logging.getLogger("randnet")
 
@@ -52,14 +52,10 @@ def materialize_dataset(decl, cfg):
     """Load or generate one dataset and apply train-fitted scaling."""
     if decl.synthetic is not None:
         # the config admits only the generator's own keys; seed defaults to 0
-        spec = dict(decl.synthetic)
-        spec.setdefault("seed", 0)
-        if spec.pop("kind") == "blobs":
-            ds = separable_blobs(n=spec.pop("n_train", 200), **spec, name=decl.name)
-        else:
-            ds = interleaved_arcs(**spec, name=decl.name)
+        spec = {"seed": 0, **decl.synthetic}
+        ds = GENERATORS[spec.pop("kind")](**spec, name=decl.name)
     else:
-        ds = load_manifest(cfg.base_dir / decl.manifest)
+        ds = load_manifest(decl.manifest)
         ds.name = decl.name
     if cfg.scaling != "none":
         ds, _ = fit_apply_scaling(ds, cfg.scaling)
@@ -98,16 +94,22 @@ def read_results_csv(path):
         return list(csv.DictReader(fh))
 
 
-def config_hash(cfg):
-    doc = {
-        "datasets": [(d.name, d.manifest, d.synthetic) for d in cfg.datasets],
-        "methods": [(m.name, m.params, m.grid) for m in cfg.methods],
-        "seeds": cfg.seeds,
-        "scaling": cfg.scaling,
-        "retrain_with_validation": cfg.retrain_with_validation,
-    }
-    blob = json.dumps(doc, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()
+def config_hash(cfg, datasets):
+    """SHA-256 of what a bench's rows depend on: each of datasets (name ->
+    dataset as materialized and scaled) by the shape and bytes of X, labels
+    and partitions, the methods' params and grids, the seeds and
+    retrain_with_validation. No path enters it: a config moved with its
+    data keeps its hash, and a data edit changes it."""
+    doc = {"datasets": list(datasets),
+           "methods": [(m.name, m.params, asdict(m.grid)) for m in cfg.methods],
+           "seeds": cfg.seeds, "retrain_with_validation": cfg.retrain_with_validation}
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode())
+    for ds in datasets.values():
+        for array in (ds.X, ds.labels, *(ds.partitions[role] for role in PARTITION_ROLES)):
+            array = np.ascontiguousarray(array)
+            digest.update(repr((array.dtype.str, array.shape)).encode())
+            digest.update(array)
+    return digest.hexdigest()
 
 
 def run_train(cfg, dataset_name, method_name, out_dir, seed=None):
@@ -214,17 +216,6 @@ def run_bench(cfg, out_dir, resume=False):
     out_dir.mkdir(parents=True, exist_ok=True)
     results_path = out_dir / "results.csv"
     manifest_path = out_dir / "bench_manifest.json"
-    digest = config_hash(cfg)
-    manifest = {}
-    if resume and manifest_path.exists():
-        manifest = read_bench_manifest(manifest_path)
-        if manifest["config_hash"] != digest:
-            raise ConfigError(
-                "bench manifest belongs to a different config; refusing to resume"
-            )
-        log.info("resuming: %d cells already complete", len(manifest["cells"]))
-    completed = manifest.get("cells", {})
-
     datasets = {}
     for decl in cfg.datasets:
         ds = datasets[decl.name] = materialize_dataset(decl, cfg)
@@ -233,6 +224,16 @@ def run_bench(cfg, out_dir, resume=False):
             # grid search needs all three; every cell of this dataset would fail
             raise ConfigError(f"dataset {decl.name!r} lacks partition roles {missing}; "
                               f"bench needs all of {list(PARTITION_ROLES)}")
+
+    digest = config_hash(cfg, datasets)
+    manifest = {}
+    if resume and manifest_path.exists():
+        manifest = read_bench_manifest(manifest_path)
+        if manifest["config_hash"] != digest:
+            raise ConfigError("bench manifest belongs to a different config or other "
+                              "data; refusing to resume")
+        log.info("resuming: %d cells already complete", len(manifest["cells"]))
+    completed = manifest.get("cells", {})
 
     cells = [(d.name, m.name) for d in cfg.datasets for m in cfg.methods]
     lock = threading.Lock()
@@ -243,7 +244,7 @@ def run_bench(cfg, out_dir, resume=False):
         method = get_method(m_name)
         try:
             res = grid_search(
-                datasets[ds_name], method, cfg.grid_for(mdecl), cfg.seeds,
+                datasets[ds_name], method, mdecl.grid, cfg.seeds,
                 base_params=mdecl.params,
                 retrain_with_validation=cfg.retrain_with_validation, map_fn=map_fn)
             row = result_row(res)
@@ -342,9 +343,10 @@ def run_stats(results_path, out_dir, alpha=0.05):
 def run_sweep(cfg, dataset_name, method_name, axes, out_dir):
     """Sensitivity sweep: test accuracy at every point of the chosen axes.
 
-    Axes come from {L, N, C, nu}; the remaining hyperparameters stay at
-    the method's configured fixed values and training uses the first
-    configured seed.
+    Axes come from {L, N, C, nu}, each one the method reads: L a deep or
+    kernel stack, the others a param the method's grid searches. The
+    remaining hyperparameters stay at the method's configured fixed
+    values and training uses the first configured seed.
     """
     for axis in axes:
         if axis not in SWEEP_AXES:
@@ -354,11 +356,14 @@ def run_sweep(cfg, dataset_name, method_name, axes, out_dir):
     if not axes or len(set(axes)) < len(axes):
         raise ConfigError(f"sweep needs at least one axis, each named once; got {list(axes)}")
     ds, method, mdecl = _cell(cfg, dataset_name, method_name)
-    grid = cfg.grid_for(mdecl)
+    # a stack reads its depth; every point of an axis never read scores alike
+    read = method.axes + (("layers",) if method.family in ("deep", "kernel_stack") else ())
     points = [{}]
     for axis in axes:
         param = SWEEP_AXES[axis]
-        values = (1, 2, 3) if param == "layers" else grid.axis(param)
+        if param not in read:
+            raise ConfigError(f"method {method_name!r} never reads sweep axis {axis!r} ({param})")
+        values = (1, 2, 3) if param == "layers" else mdecl.grid.axis(param)
         points = [dict(p, **{param: v}) for p in points for v in values]
     if "test" not in ds.partitions:
         raise ConfigError(f"dataset {dataset_name!r} has no test partition to sweep")

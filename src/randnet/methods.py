@@ -168,8 +168,7 @@ def train_group(method, group, X, Y, seed):
                           [int(p["clf_width"]) for p in group])
     kernel = KernelSpec("rbf", sigma=params["sigma"])
     if method.family == "kernel_stack":
-        return [mlkelm_train(X, Y, kernel, 1.0 / p["C"], int(p["layers"]), seed)
-                for p in group]
+        return [mlkelm_train(X, Y, kernel, 1.0 / p["C"], int(p["layers"])) for p in group]
     return train_classifier(method.classifier, X, Y, [1.0 / p["C"] for p in group],
                             int(params["clf_width"]), seed, params["activation"], kernel)
 

@@ -6,13 +6,13 @@ from .data import Dataset, attach_partitions, one_hot
 from .numerics import RngState
 
 
-def separable_blobs(n=200, n_val=0, n_test=0, gap=4.0, seed=0, name="blobs"):
+def separable_blobs(n_train=200, n_val=0, n_test=0, gap=4.0, seed=0, name="blobs"):
     """Two unit-variance Gaussian blobs separated by ``gap`` along the diagonal.
 
     With the default gap the classes are linearly separable with high
     margin, which the tests certify independently with a perceptron.
     """
-    total = n + n_val + n_test
+    total = n_train + n_val + n_test
     rng = RngState(seed)
     half = (total + 1) // 2
     pts = rng.gaussian(total, 2, mean=0.0, std=1.0)
@@ -21,7 +21,7 @@ def separable_blobs(n=200, n_val=0, n_test=0, gap=4.0, seed=0, name="blobs"):
     pts[labels == 0] -= gap / 2.0
     pts[labels == 1] += gap / 2.0
     order = rng.shuffled(total)
-    return _build(name, pts[order], labels[order], n, n_val, n_test)
+    return _build(name, pts[order], labels[order], n_train, n_val, n_test)
 
 
 def interleaved_arcs(n_train=400, n_val=200, n_test=200, noise=0.15, seed=7,
@@ -56,3 +56,8 @@ def _build(name, X, labels, n_train, n_val, n_test):
         partitions["test"] = np.arange(n_train + n_val, n_train + n_val + n_test)
     ds = Dataset(name, X, labels, one_hot(labels, 2), {})
     return attach_partitions(ds, partitions)
+
+
+# kind -> generator; a run config's synthetic spec holds one of these
+# kinds and keyword arguments of its generator
+GENERATORS = {"blobs": separable_blobs, "arcs": interleaved_arcs}

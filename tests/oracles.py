@@ -180,7 +180,7 @@ def sweep_per_point(cfg, dataset_name, method_name, axes):
     decl = next(d for d in cfg.datasets if d.name == dataset_name)
     mdecl = next(m for m in cfg.methods if m.name == method_name)
     ds = materialize_dataset(decl, cfg)
-    grid = cfg.grid_for(mdecl)
+    grid = mdecl.grid
     values = {"L": ("layers", (1, 2, 3)), "N": ("ae_width", grid.ae_widths),
               "C": ("C", grid.C_values), "nu": ("noise", grid.noise_values)}
     out = io.StringIO()

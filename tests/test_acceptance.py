@@ -152,7 +152,7 @@ def test_criterion_4_solver_oracle_equivalence():
 
 def test_criterion_5_architecture_degeneracy():
     with budget(30.0):
-        ds = separable_blobs(n=200, seed=0)
+        ds = separable_blobs(n_train=200, seed=0)
         X, Y = ds.X, ds.Y
 
         def specs(widths):
@@ -254,7 +254,7 @@ def test_criterion_7_protocol_hygiene(tmp_path, interrupt_after):
         # canary: garbage in the test rows must not move selection
         from dataclasses import replace
 
-        ds = separable_blobs(n=120, n_val=40, n_test=40, seed=2)
+        ds = separable_blobs(n_train=120, n_val=40, n_test=40, seed=2)
         grid = GridSpec(ae_widths=(10,), clf_widths=(50, 100),
                         C_values=(0.1, 100.0), sigma_values=(1.0,),
                         noise_values=(0.1,))

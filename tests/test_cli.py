@@ -1,8 +1,11 @@
 import copy
+import dataclasses
+import inspect
 import json
 import logging
 import os
 import re
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -36,7 +39,7 @@ from randnet.methods import DEFAULT_PARAMS, PARAMS, get_method
 from randnet.numerics import ACTIVATION_NAMES, blas_thread_counts, blas_threads
 from randnet.selection import grouped_accuracy
 from randnet.solvers import NUMPY_LAPACK
-from randnet.synthetic import interleaved_arcs
+from randnet.synthetic import GENERATORS, interleaved_arcs
 
 from oracles import sweep_per_point
 
@@ -80,7 +83,7 @@ def test_load_config_valid(config_path):
     cfg = load_config(config_path)
     assert [d.name for d in cfg.datasets] == ["arcs", "blobs"]
     assert cfg.seeds == [0, 1]
-    assert cfg.grid_for(cfg.methods[0]).clf_widths == (40, 80)
+    assert cfg.methods[0].grid.clf_widths == (40, 80)
 
 
 def test_config_unknown_top_key(tmp_path):
@@ -116,6 +119,14 @@ def test_config_rejects_synthetic_key_of_other_kind(tmp_path, kind, key):
                  "methods: [{name: rvfl}]\n")
     with pytest.raises(ConfigError, match=f"unknown key '{key.split(':')[0]}'"):
         load_config(p)
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+def test_synthetic_rules_admit_only_generator_keywords(kind):
+    # the config's rules and the generator it calls cannot drift apart
+    keywords = inspect.signature(GENERATORS[kind]).parameters
+    assert set(_SYNTH_RULES) == set(GENERATORS)
+    assert set(_SYNTH_RULES[kind]) - {"kind"} <= set(keywords)
 
 
 @pytest.mark.parametrize("grid, message", [
@@ -172,6 +183,7 @@ def test_config_validates_param_values_at_load(tmp_path, params, message):
     ("[-1]", "kind: arcs", "seed must be an integer >= 0, got -1", "seeds[0] (line 1)"),
     ("[0, true]", "kind: arcs", "seed must be an integer >= 0, got True",
      "seeds[1] (line 1)"),
+    ("[3, 3]", "kind: arcs", "duplicate seed 3", "seeds[1] (line 1)"),
     ("[0]", "kind: arcs, seed: -1", "synthetic seed must be an integer >= 0, got -1",
      "datasets[0].synthetic.seed (line 3)"),
     ("[0]", "kind: arcs, noise: -1", "synthetic noise must be a finite number >= 0, got -1",
@@ -188,8 +200,8 @@ def test_config_validates_param_values_at_load(tmp_path, params, message):
      "datasets[0].synthetic.n_test (line 3)"),
     ("[0]", "kind: blobs, gap: .inf", "synthetic gap must be a finite number, got inf",
      "datasets[0].synthetic.gap (line 3)"),
-], ids=["negative_seed", "bool_seed", "synthetic_seed", "noise", "nan_noise", "n_train",
-        "n_val", "n_test", "gap"])
+], ids=["negative_seed", "bool_seed", "repeated_seed", "synthetic_seed", "noise", "nan_noise",
+        "n_train", "n_val", "n_test", "gap"])
 def test_config_validates_seeds_and_synthetic_values_at_load(tmp_path, seeds, synthetic,
                                                              message, where):
     # each used to load, then fail every cell (bench exited 0) or the run (exit 1)
@@ -349,15 +361,26 @@ def test_config_rejects_bad_yaml(tmp_path):
         load_config(p)
 
 
+TOY_PARTITIONS = "{train: train.txt, validation: valid.txt, test: test.txt}"
+TOY_METHOD = "{name: rvfl, grid: {clf_widths: [5], C_values: [1.0]}}"
+
+
+def write_toy_run(root, partitions=TOY_PARTITIONS, methods=(TOY_METHOD,)):
+    """The run config of a 12-row manifest dataset, all written under root."""
+    root.mkdir(parents=True, exist_ok=True)
+    (root / "toy.csv").write_text("".join(f"{i},{-i},{i % 2}\n" for i in range(12)))
+    for name, rows in (("train", range(6)), ("valid", range(6, 9)), ("test", range(9, 12))):
+        (root / f"{name}.txt").write_text("".join(f"{i}\n" for i in rows))
+    (root / "toy.yaml").write_text(f"csv: {{path: toy.csv}}\npartitions: {partitions}\n")
+    p = root / "run.yaml"
+    p.write_text("seeds: [0]\ndatasets: [{name: toy, manifest: toy.yaml}]\n"
+                 f"methods: [{', '.join(methods)}]\n")
+    return p
+
+
 def bench_toy_manifest(tmp_path, partitions):
     """Exit code of `randnet bench` on a 12-row manifest dataset, and its out dir."""
-    (tmp_path / "toy.csv").write_text("".join(f"{i},{-i},{i % 2}\n" for i in range(12)))
-    for name, rows in (("train", range(6)), ("valid", range(6, 9)), ("test", range(9, 12))):
-        (tmp_path / f"{name}.txt").write_text("".join(f"{i}\n" for i in rows))
-    (tmp_path / "toy.yaml").write_text(f"csv: {{path: toy.csv}}\npartitions: {partitions}\n")
-    p = tmp_path / "run.yaml"
-    p.write_text("seeds: [0]\ndatasets: [{name: toy, manifest: toy.yaml}]\n"
-                 "methods: [{name: rvfl, grid: {clf_widths: [5], C_values: [1.0]}}]\n")
+    p = write_toy_run(tmp_path, partitions)
     out = tmp_path / "bench"
     return main(["bench", "--config", str(p), "--out", str(out)]), out
 
@@ -554,6 +577,39 @@ def test_torn_manifest_write_keeps_previous_manifest(config_path, tmp_path, monk
     assert [p.name for p in out.iterdir()] == ["bench_manifest.json"]
     resumed = run_bench(cfg, out, resume=True)
     assert strip_time(read_results_csv(ref)) == strip_time(read_results_csv(resumed))
+
+
+TOY_METHODS = (TOY_METHOD, "{name: elm, grid: {clf_widths: [5], C_values: [1.0]}}")
+
+
+def test_bench_resume_refuses_edited_data(tmp_path, capsys):
+    # the hash covers the data the cells read: a resume after a CSV edit
+    # used to exit 0 and keep the rows computed on the old data
+    p = write_toy_run(tmp_path, methods=TOY_METHODS)
+    out = tmp_path / "bench"
+    assert main(["bench", "--config", str(p), "--out", str(out)]) == 0
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+    (tmp_path / "toy.csv").write_text("".join(f"{i},{-i},{i // 3 % 2}\n" for i in range(12)))
+    assert main(["bench", "--config", str(p), "--out", str(out), "--resume"]) == 2
+    assert "other data; refusing to resume" in capsys.readouterr().err
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
+
+def test_bench_resumes_config_moved_with_its_data(tmp_path, interrupt_after):
+    # no path enters the hash: a config moved together with its data and
+    # out dirs resumes, to the rows of an uninterrupted run
+    p = write_toy_run(tmp_path / "a", methods=TOY_METHODS)
+    ref = run_bench(load_config(p), tmp_path / "a" / "ref")
+    with interrupt_after(1), pytest.raises(KeyboardInterrupt):
+        run_bench(load_config(p), tmp_path / "a" / "int")
+    shutil.copytree(tmp_path / "a", tmp_path / "b")
+    cfg = load_config(tmp_path / "b" / "run.yaml")
+    resumed = run_bench(cfg, tmp_path / "b" / "int", resume=True)
+    assert strip_time(read_results_csv(resumed)) == strip_time(read_results_csv(ref))
+    # the moved complete manifest keeps every cell, time columns and all
+    with interrupt_after(0):
+        kept = run_bench(cfg, tmp_path / "b" / "ref", resume=True)
+    assert kept.read_bytes() == ref.read_bytes()
 
 
 def test_bench_resume_rejects_config_change(config_path, tmp_path, interrupt_after):
@@ -1159,10 +1215,21 @@ def test_sweep_equals_per_point_oracle(tmp_path, dataset, method, axes):
     assert path.read_bytes() == sweep_per_point(cfg, dataset, method, axes).encode()
 
 
-def test_sweep_rejects_unknown_axis(config_path, tmp_path):
-    cfg = load_config(config_path)
-    with pytest.raises(ConfigError, match="axis"):
-        run_sweep(cfg, "blobs", "rvfl", ("Q",), tmp_path / "sweep")
+@pytest.mark.parametrize("method, axes, message", [
+    ("rvfl", "Q", "unknown sweep axis 'Q'"),
+    ("rvfl", "N,L", "method 'rvfl' never reads sweep axis 'N'"),
+    ("rvfl", "C,L", "method 'rvfl' never reads sweep axis 'L'"),
+    ("kelm", "N", "method 'kelm' never reads sweep axis 'N'"),
+    ("deep_rvfl_dense_l2", "nu", "method 'deep_rvfl_dense_l2' never reads sweep axis 'nu'"),
+], ids=["unknown", "shallow_width", "shallow_layers", "kelm_width", "noise_not_denoised"])
+def test_sweep_rejects_unknown_axis(config_path, tmp_path, capsys, method, axes, message):
+    # every point of an axis the method never reads scores alike: rvfl
+    # over N,L wrote 9 equal rows
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(config_path), "--dataset", "blobs",
+                 "--method", method, "--axes", axes, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("axes", ["C,C", ""], ids=["repeated", "empty"])
@@ -1180,7 +1247,8 @@ def test_sweep_noise_axis_total(config_path, tmp_path):
     # accuracy is defined (never NaN) down to near-zero corruption
     cfg = load_config(config_path)
     cfg.methods[1].name = "deep_rvfl_dense_denoise_l2"
-    cfg.methods[1].grid["noise_values"] = [0.001, 0.05, 0.3]
+    cfg.methods[1].grid = dataclasses.replace(cfg.methods[1].grid,
+                                              noise_values=(0.001, 0.05, 0.3))
     path = run_sweep(cfg, "arcs", "deep_rvfl_dense_denoise_l2", ("nu",),
                      tmp_path / "sweep")
     rows = read_results_csv(path)

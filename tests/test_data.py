@@ -8,7 +8,6 @@ from randnet.data import (
     fit_scaling,
     load_csv,
     load_manifest,
-    load_partition_indices,
     one_hot,
 )
 from randnet.synthetic import interleaved_arcs, separable_blobs
@@ -43,8 +42,15 @@ def test_load_csv_ragged_row_names_row(tmp_path):
 
 def test_load_csv_non_numeric_feature_names_column(tmp_path):
     p = write(tmp_path, "d.csv", "1,2,0\n3,high,1\n")
-    with pytest.raises(DataFormatError, match="column 2"):
+    with pytest.raises(DataFormatError, match="row 2, column 2"):
         load_csv(p)
+    # rows are numbered by file line: the blank line 2 and a header count
+    p = write(tmp_path, "d.csv", "1,2,a\n\n3,4,b\n5,x,a\n")
+    with pytest.raises(DataFormatError, match="row 4, column 2"):
+        load_csv(p)
+    p = write(tmp_path, "d.csv", "f,g,cls\n\n3,4,b\n5,x,a\n")
+    with pytest.raises(DataFormatError, match="row 4, column 2"):
+        load_csv(p, header=True)
 
 
 def test_load_csv_string_labels_and_header(tmp_path):
@@ -134,18 +140,15 @@ def _tiny_dataset(X, labels):
 
 def test_partition_indices_attach(tmp_path):
     csvp = write(tmp_path, "d.csv", "1,2,0\n3,4,1\n5,6,0\n")
-    trn = write(tmp_path, "train.txt", "0\n1\n")
-    tst = write(tmp_path, "test.txt", "2\n")
-    ds = load_partition_indices(load_csv(csvp), {"train": trn, "test": tst})
+    ds = attach_partitions(load_csv(csvp), {"train": [0, 1], "test": [2]})
     np.testing.assert_array_equal(ds.partitions["train"], [0, 1])
     np.testing.assert_array_equal(ds.partitions["test"], [2])
 
 
 def test_partition_index_out_of_range(tmp_path):
     csvp = write(tmp_path, "d.csv", "1,2,0\n3,4,1\n5,6,0\n")
-    trn = write(tmp_path, "train.txt", "0\n5\n")
     with pytest.raises(DataFormatError, match="out of range"):
-        load_partition_indices(load_csv(csvp), {"train": trn})
+        attach_partitions(load_csv(csvp), {"train": [0, 5]})
 
 
 def test_partition_overlap_rejected_when_disjoint():
@@ -246,8 +249,8 @@ def test_manifest_nested_too_deeply_fails_loudly(tmp_path):
 
 
 def test_blobs_deterministic_and_separable_shape():
-    a = separable_blobs(n=50, n_test=20, seed=3)
-    b = separable_blobs(n=50, n_test=20, seed=3)
+    a = separable_blobs(n_train=50, n_test=20, seed=3)
+    b = separable_blobs(n_train=50, n_test=20, seed=3)
     np.testing.assert_array_equal(a.X, b.X)
     assert a.X.shape == (70, 2)
     assert set(np.unique(a.labels)) == {0, 1}

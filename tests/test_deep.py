@@ -22,7 +22,7 @@ from randnet.synthetic import separable_blobs
 
 @pytest.fixture(scope="module")
 def blobs():
-    ds = separable_blobs(n=200, seed=0)
+    ds = separable_blobs(n_train=200, seed=0)
     return ds.X, ds.Y, ds.labels
 
 

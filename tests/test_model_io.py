@@ -38,7 +38,7 @@ from randnet.synthetic import separable_blobs
 
 @pytest.fixture(scope="module")
 def blobs():
-    ds = separable_blobs(n=120, seed=0)
+    ds = separable_blobs(n_train=120, seed=0)
     return ds.X, ds.Y
 
 
@@ -159,7 +159,7 @@ RBF = KernelSpec("rbf", sigma=1.0)
 @st.composite
 def small_models(draw):
     """A shallow or deep model of any kind on a small blobs draw, with its inputs."""
-    ds = separable_blobs(n=draw(st.integers(6, 30)), seed=draw(st.integers(0, 999)))
+    ds = separable_blobs(n_train=draw(st.integers(6, 30)), seed=draw(st.integers(0, 999)))
     X, Y = ds.X, ds.Y
     classifier = draw(st.sampled_from(["rvfl", "elm", "kelm"]))
     seed = draw(st.integers(0, 999))

@@ -138,7 +138,7 @@ def test_metrics_invariant_under_sample_permutation():
 
 @pytest.fixture(scope="module")
 def blobs_split():
-    return separable_blobs(n=120, n_val=40, n_test=40, seed=2)
+    return separable_blobs(n_train=120, n_val=40, n_test=40, seed=2)
 
 
 def test_grid_search_single_config(blobs_split):
@@ -195,7 +195,7 @@ def test_grid_search_deep_capacity_on_arcs():
 
 
 def test_grid_search_deep_on_separable_reaches_99():
-    ds = separable_blobs(n=150, n_val=50, n_test=50, seed=6)
+    ds = separable_blobs(n_train=150, n_val=50, n_test=50, seed=6)
     g = small_grid(ae_widths=(15,), clf_widths=(100,), C_values=(100.0,))
     res = grid_search(ds, get_method("deep_rvfl_dense_l2"), g, seeds=[0, 1],
                       base_params={"layers": 2})
@@ -216,7 +216,7 @@ def test_resolve_params_rejects_unknown():
 
 
 def test_every_method_trains_on_tiny_data():
-    ds = separable_blobs(n=60, seed=5)
+    ds = separable_blobs(n_train=60, seed=5)
     X, Y = ds.X, ds.Y
     fast = {"layers": 2, "ae_width": 10, "clf_width": 30, "solver_iters": 100}
     for name in sorted(METHODS):
@@ -257,7 +257,7 @@ PATH_GRID = GridSpec(clf_widths=(60, 150, 300), sigma_values=(0.3, 1.0, 3.0),
 @pytest.fixture(scope="module", params=["blobs", "arcs"])
 def path_ds(request):
     if request.param == "blobs":
-        return separable_blobs(n=150, n_val=60, n_test=60, gap=1.0, seed=8)
+        return separable_blobs(n_train=150, n_val=60, n_test=60, gap=1.0, seed=8)
     return interleaved_arcs(n_train=150, n_val=60, n_test=60, noise=0.15, seed=9)
 
 
