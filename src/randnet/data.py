@@ -8,15 +8,17 @@ External formats (see README for byte-level examples):
 * dataset manifest: a YAML document binding a name to the CSV, its
   parsing schema, and the partition files.
 
-The rules of every YAML mapping randnet reads, the manifest's here and
-the run config's in config.py, and of every spec and model dataclass
-field are tables checked by one walker, ``checked``, at the end of this
-module.
+Every YAML document randnet reads, the manifest here and the run config
+in config.py, is parsed by ``read_yaml``, and its refusals name the key
+path and line through ``fail_at``. The rules of every mapping in them,
+and of every spec and model dataclass field, are tables checked by one
+walker, ``checked``, at the end of this module.
 """
 
 import csv
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -72,11 +74,7 @@ def load_csv(path, label_col=-1, header=False, delimiter=",", name=None):
     lines and the header counted, and the column (both 1-based).
     """
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(text.splitlines(), delimiter=delimiter)
+    reader = csv.reader(read_text(path, DataFormatError).splitlines(), delimiter=delimiter)
     # (file line, fields) of each row, numbered before blank lines drop
     rows = [(reader.line_num, row) for row in reader][1 if header else 0:]
     rows = [(line, row) for line, row in rows if row]
@@ -180,48 +178,50 @@ def fit_apply_scaling(ds, method="minmax"):
 
 def attach_partitions(ds, partitions, disjoint=True):
     """ds with the named partitions (role -> row indices) attached and
-    validated. With disjoint=True (the published-split convention) any
-    overlap between roles is an error."""
+    validated: each role non-empty and in range, every class in train.
+    With disjoint=True (the published-split convention) no row may be
+    listed twice, within one role or across roles."""
     n = ds.X.shape[0]
     for role, idx in partitions.items():
         idx = np.asarray(idx, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= n):
-            raise DataFormatError(
-                f"{ds.name}: {role} partition index out of range [0, {n})"
-            )
+        if idx.size == 0:
+            raise DataFormatError(f"{ds.name}: {role} partition is empty")
+        if idx.min() < 0 or idx.max() >= n:
+            raise DataFormatError(f"{ds.name}: {role} partition index out of range [0, {n})")
         partitions[role] = idx
-    train = partitions.get("train")
-    if train is None or train.size == 0:
-        raise DataFormatError(f"{ds.name}: train partition is missing or empty")
-    present = set(np.unique(ds.labels[train]).tolist())
+    if "train" not in partitions:
+        raise DataFormatError(f"{ds.name}: train partition is missing")
+    present = set(np.unique(ds.labels[partitions["train"]]).tolist())
     missing = [c for c in range(ds.n_classes) if c not in present]
     if missing:
-        raise DataFormatError(
-            f"{ds.name}: classes {missing} absent from the train partition"
-        )
+        raise DataFormatError(f"{ds.name}: classes {missing} absent from the train partition")
     if disjoint:
-        roles = [r for r in PARTITION_ROLES if r in partitions]
-        for i, a in enumerate(roles):
-            for b in roles[i + 1:]:
-                overlap = np.intersect1d(partitions[a], partitions[b])
-                if overlap.size:
-                    raise DataFormatError(
-                        f"{ds.name}: partitions {a!r} and {b!r} overlap "
-                        f"(e.g. row {int(overlap[0])}) but are flagged disjoint"
-                    )
+        rows, counts = np.unique(np.concatenate(list(partitions.values())), return_counts=True)
+        if (counts > 1).any():
+            row, count = int(rows[counts > 1][0]), int(counts[counts > 1][0])
+            roles = [role for role, idx in partitions.items() if row in idx]
+            raise DataFormatError(
+                f"{ds.name}: row {row} is listed {count} times in partitions {roles}, "
+                f"which are flagged disjoint: they may not overlap or repeat a row"
+            )
     return replace(ds, partitions=partitions)
 
 
-def _read_index_file(path):
+def read_text(path, error):
+    """The text of the file at path; an unreadable file, or one that is not
+    UTF-8, raises error naming path."""
     try:
-        lines = path.read_text().split()
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+
+
+def _read_index_file(path):
     idx = []
-    for tok in lines:
+    for tok in read_text(path, DataFormatError).split():
         try:
-            idx.append(int(tok))
-        except ValueError:
+            idx.append(np.int64(int(tok)))  # OverflowError beyond the int64 range
+        except (ValueError, OverflowError):
             raise DataFormatError(f"{path}: bad index {tok!r}") from None
     return np.asarray(idx, dtype=np.int64)
 
@@ -229,27 +229,78 @@ def _read_index_file(path):
 def load_manifest(path):
     """Load a dataset manifest: CSV schema plus partition file bindings."""
     path = Path(path)
-    try:
-        doc = yaml.safe_load(path.read_text())
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
-    except RecursionError:
-        raise DataFormatError(f"{path}: YAML nests too deeply to read") from None
-    if not isinstance(doc, dict):
-        raise DataFormatError(f"{path}: manifest must be a mapping")
-
-    def fail(message, key):
-        return DataFormatError(f"{path}: {message}")
-
-    checked(doc, _MANIFEST_RULES, fail, required=("csv", "partitions"))
-    spec = dict(checked(doc["csv"], _CSV_RULES, fail, required=("path",), subject="csv."))
-    parts = checked(doc["partitions"], _PARTITION_RULES, fail, subject="partitions.")
+    doc, lines = read_yaml(path, DataFormatError)
+    at = partial(fail_at, lambda message: DataFormatError(f"{path}: {message}"), lines)
+    checked(doc, _MANIFEST_RULES, at(()), required=("csv", "partitions"))
+    spec = dict(checked(doc["csv"], _CSV_RULES, at(("csv",)), required=("path",),
+                        subject="csv."))
+    parts = checked(doc["partitions"], _PARTITION_RULES, at(("partitions",)),
+                    subject="partitions.")
     base = path.parent
     ds = load_csv(base / spec.pop("path"), **spec, name=doc.get("name", path.stem))
     partitions = {role: _read_index_file(base / name) for role, name in parts.items()}
     return attach_partitions(ds, partitions, doc.get("disjoint", True))
+
+
+# ------------------------------------------------------------ YAML documents
+
+
+def _walk_lines(node, lines, path):
+    """Record the 1-based line of every node in the tree, keyed by path."""
+    lines[path] = node.start_mark.line + 1
+    if isinstance(node, yaml.MappingNode):
+        for key_node, value_node in node.value:
+            _walk_lines(value_node, lines, path + (key_node.value,))
+    elif isinstance(node, yaml.SequenceNode):
+        for i, child in enumerate(node.value):
+            _walk_lines(child, lines, path + (i,))
+
+
+def read_yaml(path, error):
+    """(doc, lines) of the YAML mapping in the file at path: lines holds the
+    1-based line of every node by its key path (() for the root). The file
+    is parsed once, as PyYAML's safe_load parses it; a file that cannot be
+    read or parsed, or holds no mapping, raises error naming path."""
+    text, loader = read_text(path, error), None
+    try:
+        loader = yaml.SafeLoader(text)  # refuses a character YAML does not allow
+        root = loader.get_single_node()
+        doc, lines = {}, {}
+        if root is not None:
+            doc = loader.construct_document(root)
+            _walk_lines(root, lines, ())
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        line = f" (line {mark.line + 1})" if mark else ""
+        raise error(f"{path}: YAML parse error: {exc}{line}") from exc
+    except RecursionError:  # the composer recurses once per nesting level
+        raise error(f"{path}: YAML nests too deeply to read") from None
+    finally:
+        if loader is not None:
+            loader.dispose()
+    if not isinstance(doc, dict):
+        raise error(f"{path}: the document must be a mapping (line {lines[()]})")
+    return doc, lines
+
+
+def _fmt_path(path):
+    # a key need not be a string: YAML reads `1.5: x` as a float key
+    out = ""
+    for part in path:
+        out += f"[{part}]" if isinstance(part, int) else (f".{part}" if out else f"{part}")
+    return out
+
+
+def fail_at(error, lines, where):
+    """fail for ``checked`` on the mapping at key path where in a document
+    read by read_yaml: error(message) naming the key's path and line (the
+    mapping's line for a missing key); a key of None names where itself."""
+    def fail(message, key=None):
+        path = where if key is None else where + (key,)
+        loc = f" at {_fmt_path(path)}" if path else ""
+        line = lines.get(path, lines.get(where))
+        return error(f"{message}{loc}" + (f" (line {line})" if line else ""))
+    return fail
 
 
 # ------------------------------------------------------------ document rules
@@ -266,8 +317,10 @@ def checked(mapping, rules, fail, required=(), subject=""):
         if key not in rules:
             raise fail(f"unknown key {key!r}; expected one of {sorted(rules)}", key)
     for key, (test, wanted) in rules.items():
-        if (key in mapping or key in required) and not test(mapping.get(key)):
-            raise fail(f"{subject}{key} must be {wanted}, got {mapping.get(key)!r}", key)
+        if key in required and key not in mapping:
+            raise fail(f"{subject}{key} is missing; it must be {wanted}", key)
+        if key in mapping and not test(mapping[key]):
+            raise fail(f"{subject}{key} must be {wanted}, got {mapping[key]!r}", key)
     return mapping
 
 
@@ -295,7 +348,8 @@ def is_finite(v):
 
 
 def integer(low):
-    return lambda v: is_integer(v) and v >= low, f"an integer >= {low}"
+    # bounded as is_finite: every count and seed is one a float can hold
+    return lambda v: is_integer(v) and low <= v <= sys.float_info.max, f"an integer >= {low}"
 
 
 def one_of(*choices):
@@ -313,6 +367,7 @@ MAPPING = (lambda v: isinstance(v, dict), "a mapping")
 NON_EMPTY_LIST = (lambda v: isinstance(v, list) and len(v) > 0, "a non-empty list")
 POSITIVE = (lambda v: is_finite(v) and v > 0, "> 0 and finite")
 NON_NEGATIVE = (lambda v: is_finite(v) and v >= 0, ">= 0 and finite")
+FRACTION = (lambda v: is_number(v) and 0 <= v <= 1, "in [0, 1]")
 ACTIVATION = one_of(*ACTIVATION_NAMES)
 
 _MANIFEST_RULES = {"name": STRING, "csv": MAPPING, "partitions": MAPPING, "disjoint": BOOL}

@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError
-from .data import MAPPING, PARTITION_ROLES, STRING, checked, fit_apply_scaling, load_manifest
+from .data import (MAPPING, PARTITION_ROLES, STRING, checked, fit_apply_scaling, load_manifest,
+                   optional)
 from .methods import get_method
 from .model_io import replace_atomically, save_model
 from .numerics import blas_thread_counts, blas_threads
@@ -41,10 +42,8 @@ TIME_COLUMNS = ("train_time_ms",)
 
 SWEEP_AXES = {"L": "layers", "N": "ae_width", "C": "C", "nu": "noise"}
 
-# the bench manifest; manifests written before the BLAS facts lack them
 _BENCH_MANIFEST_RULES = {"config_hash": STRING, "cells": MAPPING, "blas_threads": MAPPING,
-                         "lapack_library": (lambda v: v is None or isinstance(v, str),
-                                            "a string or null")}
+                         "lapack_library": optional(str)}
 _CELL_ROW_RULES = dict.fromkeys(RESULT_COLUMNS, STRING)
 
 
@@ -189,7 +188,7 @@ def read_bench_manifest(path):
         raise fail(f"not a readable bench manifest ({type(exc).__name__}: {exc})") from None
     if not isinstance(manifest, dict):
         raise fail("bench manifest must be a mapping")
-    checked(manifest, _BENCH_MANIFEST_RULES, fail, required=("config_hash", "cells"))
+    checked(manifest, _BENCH_MANIFEST_RULES, fail, required=tuple(_BENCH_MANIFEST_RULES))
     for key, row in manifest["cells"].items():
         if not isinstance(row, dict):
             raise fail(f"cell {key} must be a mapping, got {row!r}")

@@ -9,24 +9,23 @@ autoencoder layers and the classifier.
 from dataclasses import dataclass
 
 from .autoencoders import AutoencoderSpec
-from .data import ACTIVATION, checked, integer, is_finite, is_number
+from .data import ACTIVATION, FRACTION, NON_NEGATIVE, POSITIVE, checked, integer
 from .deep import DeepConfig, DeepModel, deep_predict_path, deep_train, mlkelm_train
 from .shallow import predict_path as shallow_predict_path
 from .shallow import train_classifier
 from .solvers import ElasticNetConfig, KernelSpec, L1Config, RidgeConfig
 
 _COUNT = integer(1)
-_POSITIVE = (lambda v: is_number(v) and v > 0, "a number > 0")
 
 # (default, (test, description) of the values it accepts) of each param
 PARAMS = {
     "layers": (3, _COUNT),
     "ae_width": (50, _COUNT),
     "clf_width": (500, _COUNT),
-    "C": (1.0, _POSITIVE),
-    "sigma": (1.0, _POSITIVE),  # kernel bandwidth
-    "noise": (0.1, (lambda v: is_number(v) and v >= 0, "a number >= 0")),  # input noise std
-    "alpha_mix": (0.5, (lambda v: is_number(v) and 0 <= v <= 1, "a number in [0, 1]")),
+    "C": (1.0, POSITIVE),  # finite: C = inf would make lam = 1/C = 0
+    "sigma": (1.0, POSITIVE),  # kernel bandwidth
+    "noise": (0.1, NON_NEGATIVE),  # input noise std
+    "alpha_mix": (0.5, FRACTION),
     "activation": ("sigmoid", ACTIVATION),
     "solver_iters": (500, _COUNT),  # FISTA/ADMM budget inside autoencoders
 }
@@ -35,13 +34,7 @@ PARAM_RULES = {key: rule for key, (_, rule) in PARAMS.items()}
 
 
 def check_param(key, value):
-    """Raise ValueError unless value is valid for the param named key.
-
-    Every number must be finite: C = inf would make lam = 1/C = 0,
-    which the solvers reject only once training has begun.
-    """
-    if is_number(value) and not is_finite(value):
-        raise ValueError(f"param {key} must be finite, got {value!r}")
+    """Raise ValueError unless value is valid for the param named key."""
     checked({key: value}, PARAM_RULES, lambda message, _: ValueError(message),
             subject="param ")
 

@@ -106,7 +106,8 @@ def evaluate_fixed(ds, method, params, seed, fit_roles=("train",),
     """Train on fit_roles at fixed hyperparameters; score each present score role.
 
     Returns (model, EvalResult); an absent role scores nan, and AUC is
-    reported for the test role of a binary dataset.
+    reported for the test role of a binary dataset when it holds both
+    classes (None otherwise).
     """
     params = resolve_params(method, params)
     idx = np.concatenate([ds.partitions[role] for role in fit_roles])
@@ -120,7 +121,7 @@ def evaluate_fixed(ds, method, params, seed, fit_roles=("train",),
             X, _, y = ds.part(role)
             scores, pred = predict_method(model, X)
             acc[role] = accuracy(y, pred)
-            if role == "test" and ds.n_classes == 2:
+            if role == "test" and ds.n_classes == 2 and np.unique(y).size == 2:
                 auc_value = auc(scores[:, 1], y)
     res = EvalResult(
         dataset=ds.name, method=method.name,
@@ -176,7 +177,7 @@ def grid_search(ds, method, grid, seeds, base_params=None,
         runs[0],
         val_accuracy=score,
         test_accuracy=float(np.mean([r.test_accuracy for r in runs])),
-        auc=float(np.mean([r.auc for r in runs])) if ds.n_classes == 2 else None,
+        auc=None if runs[0].auc is None else float(np.mean([r.auc for r in runs])),
         train_time_ms=float(np.mean([r.train_time_ms for r in runs])),
     )
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import POSITIVE, check_fields, integer, is_number, one_of
+from .data import FRACTION, POSITIVE, check_fields, integer, one_of
 from .numerics import ShapeError, check_finite, loaded_openblas, openblas_routine
 
 log = logging.getLogger(__name__)
@@ -79,8 +79,7 @@ class ElasticNetConfig:
     tol: float = 1e-10  # relative primal and dual residual
 
     def __post_init__(self):
-        mix = (lambda v: is_number(v) and 0 <= v <= 1, "in [0, 1]")
-        check_fields(self, {"lam": POSITIVE, "alpha_mix": mix, "max_iters": integer(1),
+        check_fields(self, {"lam": POSITIVE, "alpha_mix": FRACTION, "max_iters": integer(1),
                             "tol": POSITIVE}, "elastic-net ")
 
 

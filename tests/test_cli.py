@@ -132,9 +132,9 @@ def test_synthetic_rules_admit_only_generator_keywords(kind):
 @pytest.mark.parametrize("grid, message", [
     ("{C_values: []}", "grid axis C_values is empty"),
     ("{search: bogus}", "unknown search policy 'bogus'"),
-    ("{C_values: [1.0, 0]}", "param C must be a number > 0, got 0"),
-    ("{C_values: [1.0, .inf]}", "param C must be finite, got inf"),
-    ("{sigma_values: [.nan]}", "param sigma must be finite, got nan"),
+    ("{C_values: [1.0, 0]}", "param C must be > 0 and finite, got 0"),
+    ("{C_values: [1.0, .inf]}", "param C must be > 0 and finite, got inf"),
+    ("{sigma_values: [.nan]}", "param sigma must be > 0 and finite, got nan"),
     ("{clf_widths: [0]}", "param clf_width must be an integer >= 1"),
 ], ids=["empty_C_values", "bogus_search", "zero_C_value", "inf_C_value", "nan_sigma_value",
         "zero_width"])
@@ -152,19 +152,20 @@ def test_config_validates_grid_at_load(tmp_path, grid, message):
 
 @pytest.mark.parametrize("params, message", [
     ("{activation: bogus}", "param activation must be one of"),
-    ("{C: 0}", "param C must be a number > 0, got 0"),
-    ("{sigma: -1.0}", "param sigma must be a number > 0"),
+    ("{C: 0}", "param C must be > 0 and finite, got 0"),
+    ("{sigma: -1.0}", "param sigma must be > 0 and finite, got -1.0"),
     ("{clf_width: 2.5}", "param clf_width must be an integer >= 1"),
     ("{layers: 0}", "param layers must be an integer >= 1"),
     ("{solver_iters: true}", "param solver_iters must be an integer >= 1"),
-    ("{noise: -0.1}", "param noise must be a number >= 0"),
-    ("{alpha_mix: 1.5}", r"param alpha_mix must be a number in \[0, 1\]"),
-    ("{C: .inf}", "param C must be finite, got inf"),
-    ("{sigma: .inf}", "param sigma must be finite, got inf"),
-    ("{noise: .inf}", "param noise must be finite, got inf"),
+    ("{noise: -0.1}", "param noise must be >= 0 and finite, got -0.1"),
+    ("{alpha_mix: 1.5}", r"param alpha_mix must be in \[0, 1\], got 1.5"),
+    ("{C: .inf}", "param C must be > 0 and finite, got inf"),
+    ("{sigma: .inf}", "param sigma must be > 0 and finite, got inf"),
+    ("{noise: .inf}", "param noise must be >= 0 and finite, got inf"),
     ("{max_train_rows: 100}", "unknown key 'max_train_rows'"),
+    ("{layers: 1" + "0" * 400 + "}", "param layers must be an integer >= 1, got 1" + "0" * 400),
 ], ids=["activation", "C", "sigma", "clf_width", "layers", "solver_iters", "noise",
-        "alpha_mix", "C_inf", "sigma_inf", "noise_inf", "max_train_rows"])
+        "alpha_mix", "C_inf", "sigma_inf", "noise_inf", "max_train_rows", "layers_beyond_float"])
 def test_config_validates_param_values_at_load(tmp_path, params, message):
     # a bad value used to load and fail every cell of its method at run time
     key = params[1:].split(":")[0]
@@ -186,10 +187,10 @@ def test_config_validates_param_values_at_load(tmp_path, params, message):
     ("[3, 3]", "kind: arcs", "duplicate seed 3", "seeds[1] (line 1)"),
     ("[0]", "kind: arcs, seed: -1", "synthetic seed must be an integer >= 0, got -1",
      "datasets[0].synthetic.seed (line 3)"),
-    ("[0]", "kind: arcs, noise: -1", "synthetic noise must be a finite number >= 0, got -1",
+    ("[0]", "kind: arcs, noise: -1", "synthetic noise must be >= 0 and finite, got -1",
      "datasets[0].synthetic.noise (line 3)"),
     ("[0]", "kind: arcs, noise: .nan",
-     "synthetic noise must be a finite number >= 0, got nan",
+     "synthetic noise must be >= 0 and finite, got nan",
      "datasets[0].synthetic.noise (line 3)"),
     ("[0]", "kind: arcs, n_train: 0", "synthetic n_train must be an integer >= 1, got 0",
      "datasets[0].synthetic.n_train (line 3)"),
@@ -354,6 +355,22 @@ def test_loaders_refuse_deep_flow_nesting(doc_dir, where, nest):
         pass
 
 
+@pytest.mark.parametrize("name", LOADERS)
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text.encode() + b"# \x07\n", "special characters are not allowed"),
+    (lambda text: text.encode() + b"# \xff\n", "cannot read"),
+    (lambda text: b"1.5: x\n" + text.encode(), "unknown key 1.5; expected one of"),
+], ids=["control_character", "not_utf8", "float_key"])
+def test_loaders_refuse_odd_text_with_their_own_error(doc_dir, name, edit, message):
+    # each raised a bare ReaderError, UnicodeDecodeError or TypeError, and
+    # the command exited 1
+    doc, loader, error = LOADERS[name]
+    target = doc_dir / f"{name}.yaml"
+    target.write_bytes(edit(yaml.safe_dump(doc)))
+    with pytest.raises(error, match=message):
+        loader(target)
+
+
 def test_config_rejects_bad_yaml(tmp_path):
     p = tmp_path / "bad.yaml"
     p.write_text("datasets: [unclosed\n")
@@ -415,16 +432,47 @@ def test_bench_rejects_config_nested_too_deeply(tmp_path, capsys):
 
 @pytest.mark.parametrize("partitions, message", [
     ("{train: 5, validation: valid.txt, test: test.txt}",
-     "partitions.train must be a file name, got 5"),
+     "partitions.train must be a file name, got 5 at partitions.train (line 2)"),
     ("{train: train.txt, validation: valid.txt, test: test.txt}\ndisjoint: 'no'",
-     "disjoint must be true or false, got 'no'"),
+     "disjoint must be true or false, got 'no' at disjoint (line 3)"),
 ], ids=["partition_file_number", "disjoint_string"])
 def test_bench_rejects_badly_typed_manifest_value(tmp_path, capsys, partitions, message):
     # the number failed the run with exit code 1; the string counted as true
     code, out = bench_toy_manifest(tmp_path, partitions)
     assert code == 2
+    assert f"config error: {tmp_path / 'toy.yaml'}: {message}" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda root: (root / "valid.txt").write_text(""), "toy: validation partition is empty"),
+    (lambda root: (root / "train.txt").write_text("0\n0\n1\n2\n3\n4\n5\n"),
+     "toy: row 0 is listed 2 times in partitions ['train']"),
+], ids=["empty_validation_file", "repeated_train_row"])
+def test_bench_rejects_empty_or_repeating_partition_file(tmp_path, capsys, edit, message):
+    # the empty file ran every cell on a nan validation accuracy, and the
+    # repeated row trained twice; both runs exited 0
+    p = write_toy_run(tmp_path)
+    edit(tmp_path)
+    out = tmp_path / "bench"
+    assert main(["bench", "--config", str(p), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not (out / "results.csv").exists()
+
+
+def test_single_class_test_partition_blanks_auc(tmp_path):
+    # AUC needs both classes: bench blanked the whole cell with that
+    # error, and train exited 1
+    p = write_toy_run(tmp_path)
+    (tmp_path / "test.txt").write_text("9\n11\n")  # both of class 1
+    assert main(["bench", "--config", str(p), "--out", str(tmp_path / "bench")]) == 0
+    assert main(["train", "--config", str(p), "--dataset", "toy", "--method", "rvfl",
+                 "--out", str(tmp_path / "train")]) == 0
+    for path in (tmp_path / "bench" / "results.csv", tmp_path / "train" / "train_metrics.csv"):
+        (row,) = read_results_csv(path)
+        assert (row["auc"], row["error"]) == ("", "")
+        assert 0.0 <= float(row["test_accuracy"]) <= 1.0
+        assert row["val_accuracy"] != ""
 
 
 def run_child(code, **env):
@@ -644,12 +692,18 @@ def _edited(edit):
     (_edited(lambda m, key: m["cells"].update({key: "done"})), "must be a mapping, got 'done'"),
     (_edited(lambda m, key: m["cells"][key].update(seed="0")), "unknown key 'seed'"),
     (_edited(lambda m, key: m["cells"].update({key: {"dataset": "arcs"}})),
-     "method must be a string, got None"),
+     "cell arcs::rvfl method is missing; it must be a string"),
     (_edited(lambda m, key: m["cells"][key].update(dataset="blobs")),
      "cell arcs::rvfl holds the row of blobs::rvfl"),
     (_nested, "not a readable bench manifest (RecursionError: "),
+    # every manifest without the facts predates the data hash, so it would
+    # be refused as another config's anyway
+    (_edited(lambda m, key: [m.pop(fact) for fact in ("blas_threads", "lapack_library")]),
+     "blas_threads is missing; it must be a mapping"),
+    (_edited(lambda m, key: m.pop("lapack_library")),
+     "lapack_library is missing; it must be a str or null"),
 ], ids=["truncated", "top_list", "cells_list", "string_row", "extra_key", "only_dataset",
-        "other_key", "deep"])
+        "other_key", "deep", "no_blas_facts", "no_lapack_library"])
 def test_bench_resume_refuses_malformed_manifest(config_path, tmp_path, interrupt_after,
                                                  capsys, rewrite, message):
     # resume refuses each defect as a config error naming the file, before
@@ -667,21 +721,6 @@ def test_bench_resume_refuses_malformed_manifest(config_path, tmp_path, interrup
     assert message in err
     assert manifest_path.read_bytes() == before
     assert not (out / "results.csv").exists()
-
-
-def test_bench_resumes_manifest_without_blas_facts(config_path, tmp_path, interrupt_after):
-    # manifests written before the BLAS facts were recorded still resume
-    cfg = load_config(config_path)
-    ref = run_bench(cfg, tmp_path / "ref")
-    out = tmp_path / "int"
-    with interrupt_after(2), pytest.raises(KeyboardInterrupt):
-        run_bench(cfg, out)
-    manifest_path = out / "bench_manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    del manifest["blas_threads"], manifest["lapack_library"]
-    manifest_path.write_text(json.dumps(manifest))
-    resumed = run_bench(cfg, out, resume=True)
-    assert strip_time(read_results_csv(ref)) == strip_time(read_results_csv(resumed))
 
 
 def test_bench_parallel_matches_sequential(config_path, tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -155,14 +157,31 @@ def test_partition_overlap_rejected_when_disjoint():
     ds = _tiny_dataset([[1, 2], [3, 4], [5, 6]], [0, 1, 0])
     with pytest.raises(DataFormatError, match="overlap"):
         attach_partitions(ds, {"train": [0, 1], "test": [1, 2]}, disjoint=True)
+    # a row repeated within one role loaded, and trained on twice
+    with pytest.raises(DataFormatError, match=re.escape(
+            "tiny: row 0 is listed 2 times in partitions ['train'], which are flagged "
+            "disjoint: they may not overlap or repeat a row")):
+        attach_partitions(ds, {"train": [0, 0, 1, 2]}, disjoint=True)
     # same split is fine when the scheme is not flagged disjoint
     attach_partitions(ds, {"train": [0, 1], "test": [1, 2]}, disjoint=False)
+    kept = attach_partitions(ds, {"train": [0, 0, 1, 2]}, disjoint=False)
+    np.testing.assert_array_equal(kept.partitions["train"], [0, 0, 1, 2])
 
 
 def test_empty_train_partition_rejected():
     ds = _tiny_dataset([[1, 2], [3, 4]], [0, 1])
     with pytest.raises(DataFormatError, match="train"):
         attach_partitions(ds, {"train": [], "test": [0, 1]})
+
+
+@pytest.mark.parametrize("role", ["validation", "test"])
+def test_empty_validation_or_test_partition_rejected(role):
+    # an empty validation file loaded: selection scored nan for every
+    # candidate, picked the first one, and bench exited 0
+    ds = _tiny_dataset([[1, 2], [3, 4], [5, 6], [7, 8]], [0, 1, 0, 1])
+    partitions = {"train": [0, 1], "validation": [2], "test": [3], role: []}
+    with pytest.raises(DataFormatError, match=f"tiny: {role} partition is empty"):
+        attach_partitions(ds, partitions)
 
 
 def test_class_missing_from_train_rejected():
@@ -215,7 +234,7 @@ def test_manifest_names_unknown_csv_key_or_role(tmp_path, csv_spec, parts, key):
     ("path: d.csv, header: 1", "csv.header must be true or false, got 1"),
     ('path: d.csv, delimiter: ";;"', "csv.delimiter must be one character, got ';;'"),
     ("path: 5", "csv.path must be a file name, got 5"),
-    ("header: true", "csv.path must be a file name, got None"),
+    ("header: true", "csv.path is missing; it must be a file name"),
 ], ids=["label_col_str", "label_col_bool", "header", "delimiter", "path", "no_path"])
 def test_manifest_checks_csv_value_types(tmp_path, csv_spec, message):
     # unchecked, these reached load_csv: a TypeError, or a silently misread file
@@ -241,11 +260,42 @@ def test_manifest_checks_partition_and_disjoint_types(tmp_path, extra, message):
         load_manifest(man)
 
 
+@pytest.mark.parametrize("token", ["x", "1.5", "99999999999999999999"])
+def test_manifest_refuses_bad_partition_index(tmp_path, token):
+    # an index beyond the int64 range raised a bare OverflowError
+    write(tmp_path, "d.csv", "1,2,0\n3,4,1\n")
+    write(tmp_path, "train.txt", f"0\n1\n{token}\n")
+    man = write(tmp_path, "ds.yaml", "csv: {path: d.csv}\npartitions: {train: train.txt}\n")
+    with pytest.raises(DataFormatError, match=f"train.txt: bad index '{token}'"):
+        load_manifest(man)
+
+
 def test_manifest_nested_too_deeply_fails_loudly(tmp_path):
     # YAML's composer recursed past Python's limit: a bare RecursionError
     man = write(tmp_path, "ds.yaml", "csv: " + "[" * 3000 + "]" * 3000 + "\npartitions: {}\n")
     with pytest.raises(DataFormatError, match="nests too deeply"):
         load_manifest(man)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("csv: {path: d.csv}\npartitions: {train: train.txt}\nextra: 1\n", "extra (line 3)"),
+    ("name: [x]\ncsv: {path: d.csv}\npartitions: {train: train.txt}\n", "name (line 1)"),
+    ("partitions: {train: train.txt}\ncsv:\n  path: d.csv\n  header: 1\n",
+     "csv.header (line 4)"),
+    ("partitions: {train: train.txt}\ncsv:\n  header: true\n", "csv.path (line 3)"),
+    ("csv: {path: d.csv}\npartitions:\n  train: train.txt\n  validation: 5\n",
+     "partitions.validation (line 4)"),
+], ids=["top_unknown_key", "top_value", "csv_value", "csv_missing_key", "partition_value"])
+def test_manifest_refusal_names_key_path_and_line(tmp_path, text, where):
+    # manifest refusals named only the file, as run-config ones name the key
+    # path and line; a missing key is placed at its mapping's line
+    write(tmp_path, "d.csv", "1,2,0\n3,4,1\n")
+    write(tmp_path, "train.txt", "0\n1\n")
+    man = write(tmp_path, "ds.yaml", text)
+    with pytest.raises(DataFormatError) as err:
+        load_manifest(man)
+    assert str(err.value).startswith(f"{man}: ")
+    assert str(err.value).endswith(f" at {where}")
 
 
 def test_blobs_deterministic_and_separable_shape():

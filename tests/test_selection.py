@@ -230,19 +230,19 @@ def test_every_method_trains_on_tiny_data():
 
 
 def test_grid_spec_rejects_non_positive_values():
-    with pytest.raises(ValueError, match="param C must be a number > 0, got 0"):
+    with pytest.raises(ValueError, match="param C must be > 0 and finite, got 0"):
         GridSpec(C_values=(1.0, 0))
-    with pytest.raises(ValueError, match="param sigma must be a number > 0"):
+    with pytest.raises(ValueError, match="param sigma must be > 0 and finite, got -1.0"):
         GridSpec(sigma_values=(-1.0,))
     with pytest.raises(ValueError, match="param clf_width must be an integer >= 1"):
         GridSpec(clf_widths=(0,))
     with pytest.raises(ValueError, match="param ae_width must be an integer >= 1"):
         GridSpec(ae_widths=(10.5,))
-    with pytest.raises(ValueError, match="param noise must be a number >= 0"):
+    with pytest.raises(ValueError, match="param noise must be >= 0 and finite, got -0.1"):
         GridSpec(noise_values=(-0.1,))
-    with pytest.raises(ValueError, match="param C must be finite, got inf"):
+    with pytest.raises(ValueError, match="param C must be > 0 and finite, got inf"):
         GridSpec(C_values=(1.0, float("inf")))
-    with pytest.raises(ValueError, match="param sigma must be finite, got inf"):
+    with pytest.raises(ValueError, match="param sigma must be > 0 and finite, got inf"):
         GridSpec(sigma_values=(float("inf"),))
 
 
